@@ -10,7 +10,6 @@ from shifttrellis import (
     overall_constraint_length,
     parse_matrix,
     parse_poly,
-    poly_add,
     poly_mul,
 )
 
@@ -19,9 +18,9 @@ a = parse_poly("1+D+D^2")
 b = parse_poly("D^3+D^4")
 print(f"a = {format_poly(a)}")
 print(f"b = {format_poly(b)}")
-print(f"a + b = {format_poly(poly_add(a, b))}")
+print(f"a + b = {format_poly(a ^ b)}")
 print(f"a * b = {format_poly(poly_mul(a, b))}")
-print(f"a + a = {format_poly(poly_add(a, a))}   (characteristic 2)")
+print(f"a + a = {format_poly(a ^ a)}   (characteristic 2)")
 
 print()
 print("== a rate-1/3 pair ==")

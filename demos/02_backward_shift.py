@@ -8,18 +8,17 @@ then happens on the dual side without touching the generator.
 from shifttrellis import (
     format_matrix,
     matrix,
-    multiply_by_power,
+    overall_constraint_length,
     parse_matrix,
     reciprocal_dual,
     reduce_rows_equivalent,
-    state_space_dimension,
     suggest_backward_shift,
 )
 
 H = parse_matrix("D^2,D^2,1;1,1+D+D^2,0")
 print(f"H = {format_matrix(H)}")
-print(f"state dimension {state_space_dimension(H)} "
-      f"({2 ** state_space_dimension(H)} states)")
+print(f"state dimension {overall_constraint_length(H)} "
+      f"({2 ** overall_constraint_length(H)} states)")
 
 dual = reciprocal_dual(H)
 print()
@@ -31,7 +30,7 @@ print(f"suggest_backward_shift(H) = {shifts}")
 
 l = shifts[2]
 shifted = matrix(
-    [[multiply_by_power(e, l) if j == 3 else e
+    [[e << l if j == 3 else e
       for j, e in enumerate(H.row(i), 1)]
      for i in range(1, H.rows + 1)])
 print()
@@ -39,7 +38,7 @@ print(f"H with column 3 times D^{l} = {format_matrix(shifted)}")
 
 reduced, exps = reduce_rows_equivalent(shifted)
 print(f"row divisions {exps} -> {format_matrix(reduced)}")
-print(f"state dimension {state_space_dimension(H)} -> "
-      f"{state_space_dimension(reduced)}, i.e. "
-      f"{2 ** state_space_dimension(H)} states down to "
-      f"{2 ** state_space_dimension(reduced)}")
+print(f"state dimension {overall_constraint_length(H)} -> "
+      f"{overall_constraint_length(reduced)}, i.e. "
+      f"{2 ** overall_constraint_length(H)} states down to "
+      f"{2 ** overall_constraint_length(reduced)}")

@@ -11,16 +11,16 @@ from .gf2poly import (
     degree,
     delay,
     divide_by_power,
+    exponents,
     format_matrix,
     format_poly,
+    full_row_rank,
     mat_mul_transpose,
     matrix,
     memory,
-    multiply_by_power,
     overall_constraint_length,
     parse_matrix,
     parse_poly,
-    poly_add,
     poly_mul,
     reciprocal_dual,
     row_degree,
@@ -34,12 +34,10 @@ from .oracle import (
     random_feasible_syndrome,
 )
 from .sequences import (
-    ShiftedView,
     VerifyReport,
     boundary_masks,
     net_shifts,
     reconstruct_code_paths,
-    shift_code,
     shift_received,
     syndrome,
     verify_simultaneous_reduction,
@@ -66,7 +64,6 @@ from .trellis import (
     build_error_trellis,
     enumerate_paths,
     min_weight_path,
-    state_space_dimension,
     trellis_dot,
 )
 

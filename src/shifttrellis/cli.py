@@ -3,7 +3,7 @@
 Subcommands read matrices, block sequences and plans from files in the
 text grammars of the library and write deterministic reports, so identical
 inputs always produce identical bytes.  Exit status: 0 success, 1 a check
-or construction failed, 2 inputs could not be read or parsed.
+or construction failed, 2 inputs or arguments could not be read or parsed.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import sys
 from .blocks import format_blocks, parse_blocks
 from .gf2poly import (
     GHPair,
-    _full_row_rank,
     format_matrix,
     format_poly,
+    full_row_rank,
     mat_mul_transpose,
     memory,
     parse_matrix,
@@ -115,7 +115,7 @@ def cmd_check_gh(args):
     nonzero = [(p, q, prod.entry(p, q))
                for p in range(1, prod.rows + 1)
                for q in range(1, prod.cols + 1) if prod.entry(p, q)]
-    rank_g, rank_h = _full_row_rank(g), _full_row_rank(h)
+    rank_g, rank_h = full_row_rank(g), full_row_rank(h)
     holds = not nonzero and rank_g and rank_h
     if args.format == "json":
         text = _dump({"holds": holds,
@@ -150,7 +150,8 @@ def cmd_suggest(args):
                       "nuAfterDual": best.nu_after_dual,
                       "reduced": best.reduced})
     else:
-        lines = ["backward shifts: " + " ".join(str(b) for b in back),
+        lines = ["backward shifts: " + " ".join(
+                     "inf" if b is None else str(b) for b in back),
                  "best plan (per column: gDiv gMul hDiv hMul):"]
         lines.extend("  " + ln for ln in format_plan(best.plan).splitlines())
         lines.append(f"nu: {best.nu_before} -> {best.nu_after} "
@@ -377,6 +378,18 @@ def cmd_oracle(args):
     return 0 if ok else 1
 
 
+def _count(text):
+    """argparse type of --n-blocks, --trials and --max-exponent."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="shifttrellis",
@@ -399,7 +412,7 @@ def build_parser():
                        help="backward-shift exponents and best found plan")
     p.add_argument("g", metavar="G_FILE")
     p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--max-exponent", type=int, default=4,
+    p.add_argument("--max-exponent", type=_count, default=4,
                    help="plan search bound (default 4)")
     out_format(p)
     p.set_defaults(func=cmd_suggest)
@@ -421,7 +434,7 @@ def build_parser():
 
     p = sub.add_parser("code-trellis", help="build the encoder trellis")
     p.add_argument("g", metavar="G_FILE")
-    p.add_argument("--n-blocks", type=int, required=True, metavar="N")
+    p.add_argument("--n-blocks", type=_count, required=True, metavar="N")
     out_format(p, choices=("text", "json", "dot"))
     p.set_defaults(func=cmd_code_trellis)
 
@@ -429,7 +442,7 @@ def build_parser():
                        help="build the syndrome-former trellis")
     p.add_argument("h", metavar="H_FILE")
     p.add_argument("syndrome", metavar="SYNDROME_FILE")
-    p.add_argument("--n-blocks", type=int, default=None, metavar="N",
+    p.add_argument("--n-blocks", type=_count, default=None, metavar="N",
                    help="real blocks before the flush (default: infer)")
     out_format(p, choices=("text", "json", "dot"))
     p.set_defaults(func=cmd_error_trellis)
@@ -438,7 +451,7 @@ def build_parser():
                        help="min-weight error estimate for received data")
     p.add_argument("h", metavar="H_FILE")
     p.add_argument("z", metavar="Z_FILE")
-    p.add_argument("--n-blocks", type=int, default=None, metavar="N")
+    p.add_argument("--n-blocks", type=_count, default=None, metavar="N")
     out_format(p)
     p.set_defaults(func=cmd_decode)
 
@@ -448,7 +461,7 @@ def build_parser():
     p.add_argument("h", metavar="H_FILE")
     p.add_argument("z", metavar="Z_FILE")
     p.add_argument("--plan", required=True, metavar="PLAN_FILE")
-    p.add_argument("--n-blocks", type=int, default=None, metavar="N")
+    p.add_argument("--n-blocks", type=_count, default=None, metavar="N")
     out_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -456,8 +469,8 @@ def build_parser():
                        help="trellis path sets against brute-force sets")
     p.add_argument("g", metavar="G_FILE")
     p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--n-blocks", type=int, default=4, metavar="N")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--n-blocks", type=_count, default=4, metavar="N")
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     out_format(p)
     p.set_defaults(func=cmd_oracle)

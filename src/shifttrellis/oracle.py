@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BlockSequence, format_blocks
-from .gf2poly import PolyMatrix, memory, poly_mul
+from .gf2poly import PolyMatrix, exponents, memory, poly_mul
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,9 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
         for i in range(1, m + 1):
             row = rhs_bit if syn.bit(t, i) else 0
             for j in range(1, n + 1):
-                h = H.entry(i, j)
-                d = 0
-                while h >> d:
-                    if h >> d & 1 and t - d >= 1 and (t - d, j) in index:
+                for d in exponents(H.entry(i, j)):
+                    if (t - d, j) in index:
                         row ^= 1 << index[(t - d, j)]
-                    d += 1
             rows.append(row)
 
     # Reduced echelon form over GF(2); pivots kept clear of each other so
@@ -129,11 +126,8 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
         val = {c: assign >> k & 1 for k, c in enumerate(free_cols)}
         for c, row in pivots:
             x = row >> nv & 1
-            rest = row & (rhs_bit - 1) & ~(1 << c)
-            while rest:
-                low = rest & -rest
-                x ^= val[low.bit_length() - 1]
-                rest ^= low
+            for k in exponents(row & (rhs_bit - 1) & ~(1 << c)):
+                x ^= val[k]
             val[c] = x
         bits = [[0] * n for _ in range(horizon)]
         for (t, j), k in index.items():

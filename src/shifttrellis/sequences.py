@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BlockSequence
-from .gf2poly import GHPair, PolyMatrix, memory, overall_constraint_length
+from .gf2poly import (
+    GHPair,
+    PolyMatrix,
+    exponents,
+    memory,
+    overall_constraint_length,
+)
 from .transform import ReductionReport, ShiftPlan, simultaneous_reduce
 from .trellis import build_code_trellis, build_error_trellis, enumerate_paths
 
@@ -33,87 +39,46 @@ def syndrome(z: BlockSequence, H: PolyMatrix) -> BlockSequence:
     if z.block_width != H.cols:
         raise ValueError(
             f"received width {z.block_width}, expected n={H.cols}")
+    taps = [[(j, exponents(h)) for j, h in enumerate(H.row(i), 1)]
+            for i in range(1, H.rows + 1)]
     out = []
     for t in range(1, len(z) + 1):
         blk = []
-        for i in range(1, H.rows + 1):
+        for row in taps:
             acc = 0
-            for j in range(1, H.cols + 1):
-                h = H.entry(i, j)
-                d = 0
-                while h >> d:
-                    if h >> d & 1 and t - d >= 1:
+            for j, ds in row:
+                for d in ds:
+                    if d < t:
                         acc ^= z.bit(t - d, j)
-                    d += 1
             blk.append(acc)
         out.append(tuple(blk))
     return BlockSequence(H.rows, tuple(out))
 
 
-def _cyclic_shift(seq: BlockSequence, shifts, n_real: int) -> BlockSequence:
-    if len(shifts) != seq.block_width:
-        raise ValueError(
-            f"{len(shifts)} shifts for width {seq.block_width}")
-    mods = [n_real + abs(s) for s in shifts]
-    if len(seq) < max(mods):
-        raise ValueError(
-            f"sequence has {len(seq)} blocks, shift window needs {max(mods)}")
-    out = [[0] * seq.block_width for _ in range(len(seq))]
-    for j, (s, mod) in enumerate(zip(shifts, mods), 1):
-        for p in range(len(seq)):
-            src = (p - s) % mod if p < mod else p
-            out[p][j - 1] = seq.bit(src + 1, j)
-    return BlockSequence(seq.block_width, tuple(tuple(r) for r in out))
-
-
-@dataclass(frozen=True)
-class ShiftedView:
-    """A sequence seen through a plan's cyclic shifts.
-
-    The view keeps the original, so the shift is always invertible:
-    restore() applies the negated shifts and returns base exactly.
-    """
-
-    base: BlockSequence
-    plan: ShiftPlan
-    n_real: int
-
-    def __post_init__(self):
-        if self.plan.n != self.base.block_width:
-            raise ValueError(
-                f"plan has {self.plan.n} columns, blocks are "
-                f"{self.base.block_width} wide")
-        _cyclic_shift(self.base, net_shifts(self.plan), self.n_real)
-
-    @property
-    def per_column_modulus(self) -> tuple:
-        return tuple(self.n_real + abs(s) for s in net_shifts(self.plan))
-
-    @property
-    def shifted(self) -> BlockSequence:
-        return _cyclic_shift(self.base, net_shifts(self.plan), self.n_real)
-
-    def restore(self) -> BlockSequence:
-        back = tuple(-s for s in net_shifts(self.plan))
-        return _cyclic_shift(self.shifted, back, self.n_real)
-
-
 def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSequence:
-    """Move each column of the received data by the plan's net shifts."""
-    return ShiftedView(z, plan, n_real).shifted
+    """Move each column of z by the plan's net shifts.
 
-
-def shift_code(y: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSequence:
-    """Move each column of a codeword the same way the errors move.
-
-    Code and error components ride one clock under an admissible plan, so
-    this is the received-data shift applied to y.
+    Received data, codewords and error sequences all move this way, since
+    they ride one clock under an admissible plan.  The shift is invertible:
+    shifting the result by plan.inverted() gives z back.
     """
-    return ShiftedView(y, plan, n_real).shifted
+    shifts = net_shifts(plan)
+    if len(shifts) != z.block_width:
+        raise ValueError(
+            f"plan has {len(shifts)} columns, blocks are {z.block_width} wide")
+    mods = [n_real + abs(s) for s in shifts]
+    if len(z) < max(mods):
+        raise ValueError(
+            f"sequence has {len(z)} blocks, shift window needs {max(mods)}")
+    out = [[0] * z.block_width for _ in range(len(z))]
+    for j, (s, mod) in enumerate(zip(shifts, mods), 1):
+        for p in range(len(z)):
+            src = (p - s) % mod if p < mod else p
+            out[p][j - 1] = z.bit(src + 1, j)
+    return BlockSequence(z.block_width, tuple(tuple(r) for r in out))
 
 
-def boundary_masks(plan: ShiftPlan, n_real: int, side: str = "error",
-                   horizon=None) -> dict:
+def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
     """Forced-zero label positions of the shifted trellises.
 
     Window position t of column j aliases, through the cyclic shift, a
@@ -121,13 +86,10 @@ def boundary_masks(plan: ShiftPlan, n_real: int, side: str = "error",
     n_real it names a terminated all-zero block, so the bit is pinned to
     zero.  The result maps 1-based sections to frozensets of columns.
 
-    Both trellises share one clock, so the masks are identical for
-    side="code" and side="error"; the parameter is kept for call-site
-    clarity.  The horizon defaults to n_real plus the largest shift
-    magnitude, which makes the identity plan's masks empty.
+    Both trellises share one clock, so one set of masks serves the code
+    side and the error side.  The horizon defaults to n_real plus the
+    largest shift magnitude, which makes the identity plan's masks empty.
     """
-    if side not in ("code", "error"):
-        raise ValueError(f"side must be 'code' or 'error', got {side!r}")
     shifts = net_shifts(plan)
     if horizon is None:
         horizon = n_real + max((abs(s) for s in shifts), default=0)

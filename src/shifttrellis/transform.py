@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from .gf2poly import (
     GHPair,
     PolyMatrix,
-    check_gh_relation,
     column_delay,
     divide_by_power,
-    multiply_by_power,
     overall_constraint_length,
     reciprocal_dual,
     row_delay,
@@ -132,18 +130,24 @@ def _scale_columns(M: PolyMatrix, div, mul, name: str) -> PolyMatrix:
         need = div[j - 1]
         if need == 0:
             continue
-        col = M.column(j)
-        if any(col):
-            avail = column_delay(M, j) + mul[j - 1]
-            if avail < need:
-                raise ValueError(
-                    f"illegal division: {name} column {j} needs delay {need}, "
-                    f"has {avail} after multiplying by D^{mul[j - 1]}")
+        have = column_delay(M, j)
+        if have is not None and have + mul[j - 1] < need:
+            raise ValueError(
+                f"illegal division: {name} column {j} needs delay {need}, "
+                f"has {have + mul[j - 1]} after multiplying by D^{mul[j - 1]}")
     ents = []
     for i in range(1, M.rows + 1):
-        for j, e in enumerate(M.row(i)):
-            ents.append(divide_by_power(multiply_by_power(e, mul[j]), div[j]))
+        ents.extend(e << mul[j] >> div[j] for j, e in enumerate(M.row(i)))
     return PolyMatrix(M.rows, M.cols, tuple(ents))
+
+
+def _scale_pair(pair: GHPair, plan: ShiftPlan):
+    """The plan's scaled G and H, not yet checked as a pair."""
+    if plan.n != pair.n:
+        raise ValueError(f"plan has {plan.n} columns, pair has {pair.n}")
+    csr_constant(plan)
+    return (_scale_columns(pair.G, plan.g_div, plan.g_mul, "G"),
+            _scale_columns(pair.H, plan.h_div, plan.h_mul, "H"))
 
 
 def apply_plan(pair: GHPair, plan: ShiftPlan) -> GHPair:
@@ -153,12 +157,7 @@ def apply_plan(pair: GHPair, plan: ShiftPlan) -> GHPair:
     exponent is constant across columns.  Per column the multiply happens
     first, so a divide is legal whenever the multiplied column supports it.
     """
-    if plan.n != pair.n:
-        raise ValueError(f"plan has {plan.n} columns, pair has {pair.n}")
-    csr_constant(plan)
-    g = _scale_columns(pair.G, plan.g_div, plan.g_mul, "G")
-    h = _scale_columns(pair.H, plan.h_div, plan.h_mul, "H")
-    return GHPair(g, h)
+    return GHPair(*_scale_pair(pair, plan))
 
 
 def reduce_rows_equivalent(M: PolyMatrix):
@@ -179,6 +178,7 @@ def suggest_backward_shift(H: PolyMatrix) -> tuple:
 
     A factor D^l in column j of the reversed matrix means the column can be
     backward-shifted l time units, the cheapest reduction opening there is.
+    An all-zero column can be shifted without limit and reports None.
     """
     dual = reciprocal_dual(H)
     return tuple(column_delay(dual, j) for j in range(1, H.cols + 1))
@@ -200,23 +200,25 @@ class ReductionReport:
 def simultaneous_reduce(pair: GHPair, plan: ShiftPlan) -> ReductionReport:
     """Apply the plan, then row-reduce both matrices, and report the drop.
 
-    Constraint lengths fall on both sides together or not at all; the pair
-    relation is re-checked on the result and a failure there is a fatal
-    internal error rather than bad input.
+    Constraint lengths fall on both sides together or not at all.  The
+    result is checked as a pair once, after row reduction; a failure there
+    is a fatal internal error (RuntimeError) rather than bad input.
     """
     nu_b = overall_constraint_length(pair.G)
     nu_bd = overall_constraint_length(pair.H)
-    shifted = apply_plan(pair, plan)
-    g_fin, g_exps = reduce_rows_equivalent(shifted.G)
-    h_fin, h_exps = reduce_rows_equivalent(shifted.H)
-    if not check_gh_relation(g_fin, h_fin):
-        raise RuntimeError("GH relation broken")
+    g_scaled, h_scaled = _scale_pair(pair, plan)
+    g_fin, g_exps = reduce_rows_equivalent(g_scaled)
+    h_fin, h_exps = reduce_rows_equivalent(h_scaled)
+    try:
+        reduced = GHPair(g_fin, h_fin)
+    except ValueError as exc:
+        raise RuntimeError(f"GH relation broken: {exc}") from None
     nu_a = overall_constraint_length(g_fin)
     nu_ad = overall_constraint_length(h_fin)
     return ReductionReport(
         original_pair=pair,
         plan=plan,
-        transformed_pair=GHPair(g_fin, h_fin),
+        transformed_pair=reduced,
         row_divisions_applied={"G": g_exps, "H": h_exps},
         nu_before=nu_b,
         nu_before_dual=nu_bd,

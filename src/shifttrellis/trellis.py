@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .blocks import BlockSequence
-from .gf2poly import PolyMatrix, memory, overall_constraint_length, row_degree
+from .gf2poly import (
+    PolyMatrix,
+    exponents,
+    memory,
+    overall_constraint_length,
+    row_degree,
+)
 
 
 class Branch(NamedTuple):
@@ -46,17 +52,14 @@ class Trellis:
         return 1 << self.state_bits
 
 
-def state_space_dimension(M: PolyMatrix) -> int:
-    """log2 of the state count of the obvious realization of M."""
-    return overall_constraint_length(M)
-
-
 def _row_layout(M: PolyMatrix):
+    """Per row: its register field's offset and width, and the tap
+    exponents of each entry."""
     info = []
     off = 0
     for i in range(1, M.rows + 1):
         nu = row_degree(M, i)
-        info.append((off, nu, M.row(i)))
+        info.append((off, nu, [exponents(e) for e in M.row(i)]))
         off += nu
     return info
 
@@ -113,16 +116,13 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
     def step(state, inputs):
         label = [0] * n
         new_state = 0
-        for i, (off, nu, row) in enumerate(layout):
+        for i, (off, nu, taps) in enumerate(layout):
             fld = state >> off & (1 << nu) - 1
             u = inputs[i]
             hist = [u] + [fld >> (nu - d) & 1 for d in range(1, nu + 1)]
-            for j, g in enumerate(row):
-                d = 0
-                while g >> d:
-                    if g >> d & 1:
-                        label[j] ^= hist[d]
-                    d += 1
+            for j, ds in enumerate(taps):
+                for d in ds:
+                    label[j] ^= hist[d]
             if nu:
                 new_state |= ((fld >> 1) | (u << (nu - 1))) << off
         return new_state, tuple(label)
@@ -168,21 +168,18 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     def step(state, e_bits):
         out = []
         new_state = 0
-        for off, nu, row in layout:
+        for off, nu, taps in layout:
             fld = state >> off & (1 << nu) - 1
-            taps = [0] * (nu + 1)
-            for j, h in enumerate(row):
-                if h and e_bits[j]:
-                    d = 0
-                    while h >> d:
-                        if h >> d & 1:
-                            taps[d] ^= 1
-                        d += 1
-            out.append((fld & 1 if nu else 0) ^ taps[0])
+            hit = [0] * (nu + 1)
+            for j, ds in enumerate(taps):
+                if e_bits[j]:
+                    for d in ds:
+                        hit[d] ^= 1
+            out.append((fld & 1 if nu else 0) ^ hit[0])
             nf = 0
             for r in range(1, nu + 1):
                 s_next = fld >> r & 1 if r < nu else 0
-                nf |= (s_next ^ taps[r]) << (r - 1)
+                nf |= (s_next ^ hit[r]) << (r - 1)
             new_state |= nf << off
         return new_state, tuple(out)
 

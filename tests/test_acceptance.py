@@ -23,13 +23,12 @@ from shifttrellis import (
     matrix,
     memory,
     min_weight_path,
-    multiply_by_power,
+    overall_constraint_length,
     random_feasible_syndrome,
     reciprocal_dual,
     reconstruct_code_paths,
     reduce_rows_equivalent,
     simultaneous_reduce,
-    state_space_dimension,
     suggest_backward_shift,
     syndrome,
     verify_simultaneous_reduction,
@@ -69,15 +68,15 @@ def test_criterion_1_dual_side_pipeline():
     assert reciprocal_dual(H_BACK) == H_BACK_DUAL
     assert suggest_backward_shift(H_BACK) == (0, 0, 2)
     shifted = matrix(
-        [[e if j != 3 else multiply_by_power(e, 2)
+        [[e if j != 3 else e << 2
           for j, e in enumerate(H_BACK.row(i), 1)]
          for i in (1, 2)])
     assert shifted == H_BACK_COLSHIFT
     reduced, exps = reduce_rows_equivalent(shifted)
     assert reduced == H_BACK_RED
     assert exps == (2, 0)
-    assert state_space_dimension(H_BACK) == 4
-    assert state_space_dimension(H_BACK_RED) == 2
+    assert overall_constraint_length(H_BACK) == 4
+    assert overall_constraint_length(H_BACK_RED) == 2
     print("criterion 1: PASS  dual-side pipeline, state dimension 4 -> 2")
 
 
@@ -101,9 +100,9 @@ def test_criterion_3_two_step_chain_either_route():
                             make_type1_plan(3, 1, (2,), (1, 3)))
     assert b.transformed_pair == a.transformed_pair
 
-    assert state_space_dimension(CHAIN_PAIR.G) == 5
-    assert state_space_dimension(a.transformed_pair.G) == 2
-    assert state_space_dimension(a.transformed_pair.H) == 2
+    assert overall_constraint_length(CHAIN_PAIR.G) == 5
+    assert overall_constraint_length(a.transformed_pair.G) == 2
+    assert overall_constraint_length(a.transformed_pair.H) == 2
     print("criterion 3: PASS  both reduction routes agree, nu 5 -> 2")
 
 

@@ -232,6 +232,58 @@ def test_invalid_pair_exit_code(files, capsys):
     assert "not a valid pair" in err
 
 
+def test_rank_deficient_pair_exit_code(files, capsys):
+    # G * H^T = 0 and the row counts add up, but G repeats a row
+    g = files["tmp"] / "Gdup.txt"
+    g.write_text("1,1,0;1,1,0\n")
+    h = files["tmp"] / "Hdup.txt"
+    h.write_text("1,1,0\n")
+    ident = files["tmp"] / "ident.txt"
+    ident.write_text("0 0 0 0\n0 0 0 0\n0 0 0 0\n")
+    z = files["tmp"] / "z2.txt"
+    z.write_text("101 011\n")
+    plan = ("--plan", str(ident))
+    for argv in (("reduce", g, h, *plan), ("verify", g, h, z, *plan),
+                 ("transform", g, h, *plan), ("suggest", g, h)):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert rc == 1, argv[0]
+        assert out == ""
+        assert err == "error: not a valid pair: G is not full row rank\n"
+
+
+def test_suggest_zero_column(files, capsys):
+    # column 3 of H is zero, so its backward shift is unbounded
+    g = files["tmp"] / "Gz.txt"
+    g.write_text("1,1,0;0,0,1\n")
+    h = files["tmp"] / "Hz.txt"
+    h.write_text("1,1,0\n")
+    rc, out, _ = run(capsys, "suggest", str(g), str(h))
+    assert rc == 0
+    assert out.splitlines()[0] == "backward shifts: 0 0 inf"
+    rc, out, _ = run(capsys, "suggest", str(g), str(h), "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["backwardShifts"] == [0, 0, None]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("suggest", "gc", "hc"), "--max-exponent"),
+    (("code-trellis", "g"), "--n-blocks"),
+    (("error-trellis", "h", "zeta"), "--n-blocks"),
+    (("decode", "h", "z"), "--n-blocks"),
+    (("verify", "g", "h", "z", "--plan", "plan"), "--n-blocks"),
+    (("oracle", "g", "h"), "--n-blocks"),
+    (("oracle", "g", "h"), "--trials"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_negative_count_is_a_usage_error(files, capsys, argv, flag):
+    args = [argv[0]] + [files.get(a, a) for a in argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, "-9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"argument {flag}: must not be negative: -9")
+
+
 def test_out_file(files, capsys):
     dest = files["tmp"] / "report.txt"
     rc, out, _ = run(capsys, "reduce", files["gc"], files["hc"],

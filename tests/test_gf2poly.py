@@ -9,16 +9,16 @@ from shifttrellis import (
     degree,
     delay,
     divide_by_power,
+    exponents,
     format_matrix,
     format_poly,
+    full_row_rank,
     mat_mul_transpose,
     matrix,
     memory,
-    multiply_by_power,
     overall_constraint_length,
     parse_matrix,
     parse_poly,
-    poly_add,
     poly_mul,
     reciprocal_dual,
     row_degree,
@@ -62,6 +62,17 @@ def test_repeated_terms_cancel():
     assert parse_poly("1+D+1") == 2
 
 
+def test_exponents():
+    assert exponents(0) == []
+    assert exponents(parse_poly("1+D^2+D^5")) == [0, 2, 5]
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rand_poly(rng, 40)
+        exps = exponents(p)
+        assert sum(1 << d for d in exps) == p
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+
+
 def test_degree():
     assert degree(0) is None
     assert degree(1) == 0
@@ -71,9 +82,9 @@ def test_degree():
 def test_add_is_xor():
     a = parse_poly("1+D^2")
     b = parse_poly("D+D^2")
-    assert poly_add(a, b) == parse_poly("1+D")
-    assert poly_add(a, a) == 0
-    assert poly_add(a, 0) == a
+    assert a ^ b == parse_poly("1+D")
+    assert a ^ a == 0
+    assert a ^ 0 == a
 
 
 def test_mul_examples():
@@ -88,7 +99,7 @@ def test_ring_laws():
         a, b, c = (rand_poly(rng) for _ in range(3))
         assert poly_mul(a, b) == poly_mul(b, a)
         assert poly_mul(a, poly_mul(b, c)) == poly_mul(poly_mul(a, b), c)
-        assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
+        assert poly_mul(a, b ^ c) == poly_mul(a, b) ^ poly_mul(a, c)
 
 
 def test_delay():
@@ -111,7 +122,7 @@ def test_power_scaling():
     assert divide_by_power(p, 2) == parse_poly("D+D^2")
     assert divide_by_power(p, 3) == parse_poly("1+D")
     assert divide_by_power(0, 5) == 0
-    assert multiply_by_power(parse_poly("1+D"), 2) == parse_poly("D^2+D^3")
+    assert parse_poly("1+D") << 2 == parse_poly("D^2+D^3")
     with pytest.raises(ValueError, match="not divisible"):
         divide_by_power(p, 4)
 
@@ -121,7 +132,7 @@ def test_power_scaling_round_trip():
     for _ in range(100):
         p = rand_poly(rng)
         k = rng.randrange(6)
-        assert divide_by_power(multiply_by_power(p, k), k) == p
+        assert divide_by_power(p << k, k) == p
 
 
 def test_matrix_parse_format():
@@ -150,9 +161,8 @@ def test_column_delay():
     assert column_delay(G_BACK, 3) == 3
     assert column_delay(H_BACK_DUAL, 3) == 2
     assert column_delay(H_BACK, 1) == 0
-    z = matrix([[1, 0], [2, 0]])
-    with pytest.raises(ValueError, match="column 2 is all zero"):
-        column_delay(z, 2)
+    # an all-zero column has no delay, like degree(0)
+    assert column_delay(matrix([[1, 0], [2, 0]]), 2) is None
 
 
 def test_row_delay_and_degree():
@@ -224,6 +234,18 @@ def test_ghpair_validation():
         GHPair(G_MAIN, matrix([[1, 2]]))
     with pytest.raises(ValueError):
         GHPair(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), H_MAIN)
+
+
+def test_ghpair_requires_full_row_rank():
+    # G * H^T = 0 and the row counts add up, but G repeats a row
+    g, h = parse_matrix("1,1,0;1,1,0"), parse_matrix("1,1,0")
+    assert mat_mul_transpose(g, h).entries == (0, 0)
+    assert not full_row_rank(g) and full_row_rank(h)
+    with pytest.raises(ValueError, match="^G is not full row rank$"):
+        GHPair(g, h)
+    dup = matrix([list(H_MAIN.row(1)), list(H_MAIN.row(1))])
+    with pytest.raises(ValueError, match="^H is not full row rank$"):
+        GHPair(G_MAIN, dup)
 
 
 def test_ghpair_n():

@@ -16,7 +16,7 @@ from shifttrellis import (
     parse_blocks,
     parse_matrix,
     random_feasible_syndrome,
-    shift_code,
+    shift_received,
     syndrome,
 )
 
@@ -81,7 +81,7 @@ def test_brute_codewords_caps():
 
 def test_shifted_codewords_are_reduced_code_paths():
     words = brute_codewords(G_MAIN, 4)
-    shifted = {shift_code(y.padded(5), MAIN_PLAN, 4).blocks for y in words}
+    shifted = {shift_received(y.padded(5), MAIN_PLAN, 4).blocks for y in words}
     reduced = enumerate_paths(
         build_code_trellis(parse_matrix("1+D,D,1+D"), 5, masks=MAIN_MASKS))
     assert shifted == {y.blocks for y in reduced}
@@ -100,7 +100,7 @@ def test_brute_errors_with_masks():
 
 def test_brute_errors_shift_onto_reduced_set():
     raw = brute_errors(H_MAIN, ZETA_MAIN)
-    shifted = {shift_code(e, MAIN_PLAN, 4).blocks for e in raw}
+    shifted = {shift_received(e, MAIN_PLAN, 4).blocks for e in raw}
     assert shifted == {e.blocks for e in E_MAIN_RED}
 
 

@@ -5,14 +5,12 @@ import pytest
 from shifttrellis import (
     BlockSequence,
     ShiftPlan,
-    ShiftedView,
     boundary_masks,
     format_blocks,
     make_type2_plan,
     net_shifts,
     parse_blocks,
     reconstruct_code_paths,
-    shift_code,
     shift_received,
     syndrome,
     verify_simultaneous_reduction,
@@ -75,13 +73,16 @@ def test_shift_received():
     assert shift_received(Z_MAIN, ident, 4) == Z_MAIN
     with pytest.raises(ValueError, match="shift window needs 5"):
         shift_received(Z_MAIN, MAIN_PLAN, 4)
+    with pytest.raises(ValueError, match="plan has 3 columns"):
+        shift_received(BlockSequence.zero(2, 5), MAIN_PLAN, 4)
 
 
 def test_shift_code():
+    # codewords move exactly as received data does
     y = parse_blocks("000 001 101 110 000")
-    assert format_blocks(shift_code(y, MAIN_PLAN, 4)) == "000 000 101 111 000"
+    assert format_blocks(shift_received(y, MAIN_PLAN, 4)) == "000 000 101 111 000"
     zero = BlockSequence.zero(3, 5)
-    assert shift_code(zero, MAIN_PLAN, 4) == zero
+    assert shift_received(zero, MAIN_PLAN, 4) == zero
 
 
 def test_shift_round_trip():
@@ -91,25 +92,15 @@ def test_shift_round_trip():
         n_real = rng.randrange(2, 6)
         need = n_real + max(abs(s) for s in net_shifts(plan)) + rng.randrange(3)
         z = random_word(rng, 3, need)
-        view = ShiftedView(z, plan, n_real)
-        assert view.restore() == z
-
-
-def test_shifted_view():
-    view = ShiftedView(Z_MAIN.padded(5), MAIN_PLAN, 4)
-    assert view.per_column_modulus == (4, 4, 5)
-    assert view.shifted == Z_MAIN_SHIFTED
-    assert view.restore() == Z_MAIN.padded(5)
-    with pytest.raises(ValueError, match="plan has 3 columns"):
-        ShiftedView(BlockSequence.zero(2, 5), MAIN_PLAN, 4)
+        shifted = shift_received(z, plan, n_real)
+        assert shift_received(shifted, plan.inverted(), n_real) == z
+    assert shift_received(Z_MAIN_SHIFTED, MAIN_PLAN.inverted(), 4) \
+        == Z_MAIN.padded(5)
 
 
 def test_boundary_masks():
     assert boundary_masks(MAIN_PLAN, 4) == MAIN_MASKS
-    assert boundary_masks(MAIN_PLAN, 4, side="code") == MAIN_MASKS
     assert boundary_masks(ShiftPlan.identity(3), 4) == {}
-    with pytest.raises(ValueError, match="side must be"):
-        boundary_masks(MAIN_PLAN, 4, side="both")
 
 
 def test_boundary_masks_longer_horizon():

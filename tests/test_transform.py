@@ -278,3 +278,28 @@ def test_non_csr_plans_rejected():
 
 def test_exponent_vector():
     assert MAIN_PLAN.exponent_vector() == (1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+
+
+def test_simultaneous_reduce_forms_the_product_once(monkeypatch):
+    import shifttrellis.gf2poly as gf2poly
+    calls = []
+    real = gf2poly.mat_mul_transpose
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(gf2poly, "mat_mul_transpose", counted)
+    rep = simultaneous_reduce(CHAIN_PAIR, compose_plans(CHAIN_T1, CHAIN_T2))
+    assert rep.reduced
+    assert calls == [(G_CHAIN_RED, H_CHAIN_RED)]
+
+
+def test_broken_result_is_not_swallowed_by_search(monkeypatch):
+    # a failed final pair check is an internal fault, so the search, which
+    # skips plans that raise ValueError, must let it through
+    import shifttrellis.gf2poly as gf2poly
+    monkeypatch.setattr(gf2poly, "full_row_rank", lambda M: False)
+    with pytest.raises(RuntimeError,
+                       match="GH relation broken: G is not full row rank"):
+        search_reduction_plan(MAIN_PAIR)

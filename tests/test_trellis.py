@@ -9,8 +9,8 @@ from shifttrellis import (
     memory,
     min_weight_path,
     parse_blocks,
+    overall_constraint_length,
     parse_matrix,
-    state_space_dimension,
     syndrome,
     trellis_dot,
 )
@@ -31,7 +31,7 @@ def test_code_trellis_shape():
     t = build_code_trellis(G_MAIN, 4)
     assert t.n == 3
     assert t.horizon == 4
-    assert t.state_bits == state_space_dimension(G_MAIN) == 2
+    assert t.state_bits == overall_constraint_length(G_MAIN) == 2
     assert t.state_count == 4
     assert t.feasible
 
@@ -74,7 +74,7 @@ def test_error_trellis_shape():
     t = build_error_trellis(H_MAIN, ZETA_MAIN)
     assert t.n == 3
     assert t.horizon == 5
-    assert t.state_bits == state_space_dimension(H_MAIN) == 2
+    assert t.state_bits == overall_constraint_length(H_MAIN) == 2
     assert t.feasible
 
 
