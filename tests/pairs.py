@@ -1,6 +1,7 @@
 """Worked generator/check pairs shared across the tests.
 
-All four are rate-1/3 binary codes.  The *_RED matrices are hand-reduced
+The four in ALL_PAIRS are rate-1/3 binary codes; TIE_PAIR is rate 1/2.
+The *_RED matrices are hand-reduced
 targets the shift plans must reproduce exactly, and the path listings are
 full admissible sets at the horizons the tests use.
 """
@@ -57,6 +58,11 @@ H_CHAIN_RED = parse_matrix("1,1,1;1,1+D+D^2,0")
 CHAIN_PAIR = GHPair(G_CHAIN, H_CHAIN)
 CHAIN_T1 = make_type1_plan(3, 1, (2, 3), (1,))
 CHAIN_T2 = make_type2_plan(3, (0, 0, 2))
+
+# Tie showcase: the input of a section never reaches its own label, so
+# every state of the code trellis has two branches with the same label to
+# different next states.
+TIE_PAIR = pair("D,D+D^2", "1+D,1")
 
 ALL_PAIRS = (
     pair("1+D+D^2,1,D^3+D^4", "D^2,D^2,1;1,1+D+D^2,0"),

@@ -1,7 +1,9 @@
-"""Byte-for-byte CLI output on the MAIN, T2 and CHAIN fixtures.
+"""Byte-for-byte CLI output on the MAIN, T2 and CHAIN fixtures, plus a
+K=7 decode and the tie-rich pair.
 
-Every subcommand runs in every format it offers, and its stdout must equal
-the file under tests/golden/ exactly.  To rewrite those files after an
+On MAIN, T2 and CHAIN every subcommand runs in every format it offers; the
+other two fixtures run the commands listed in ONLY.  Stdout must equal the
+file under tests/golden/ exactly.  To rewrite those files after an
 intended change of output, run from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -9,13 +11,21 @@ intended change of output, run from the repository root:
 
 import contextlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from shifttrellis import compose_plans, format_matrix, format_plan
+from shifttrellis import (
+    GHPair,
+    compose_plans,
+    format_matrix,
+    format_plan,
+    parse_matrix,
+    poly_mul,
+)
 from shifttrellis.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -24,8 +34,24 @@ import pairs  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# K=7 rate-1/2 code, generators 171 and 133 octal read with D^0 first.
+K7_PAIR = GHPair(parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6"),
+                 parse_matrix("1+D^2+D^3+D^5+D^6,1+D+D^2+D^3+D^6"))
+
+
+def k7_frame():
+    """200 random information bits and a 6-block zero tail, encoded and
+    sent through a binary symmetric channel with crossover 0.02."""
+    rng = random.Random("golden:k7")
+    u = rng.getrandbits(200)
+    ys = [poly_mul(u, g) for g in K7_PAIR.G.row(1)]
+    return " ".join(
+        "".join(str(y >> t & 1 ^ (rng.random() < 0.02)) for y in ys)
+        for t in range(206))
+
+
 # name -> (pair, plan, received word, its syndrome, horizon for
-# code-trellis and oracle)
+# code-trellis and oracle); None where no command of the fixture reads it
 FIXTURES = {
     "main": (pairs.MAIN_PAIR, pairs.MAIN_PLAN,
              "001 000 011 010", "00 10 01 10 01", 4),
@@ -34,7 +60,11 @@ FIXTURES = {
     "chain": (pairs.CHAIN_PAIR,
               compose_plans(pairs.CHAIN_T1, pairs.CHAIN_T2),
               "110 011 101 001", "01 11 00 10 00 10 00", 6),
+    "k7": (K7_PAIR, None, k7_frame(), None, None),
+    "tie": (pairs.TIE_PAIR, None, "10 11 01 00 11 10", None, 5),
 }
+# Fixtures that run only some of the commands.
+ONLY = {"k7": ("decode",), "tie": ("code-trellis", "decode")}
 
 # command -> (arguments in terms of the input files, formats)
 COMMANDS = {
@@ -51,15 +81,18 @@ COMMANDS = {
 }
 
 CASES = [(fx, cmd, fmt) for fx in FIXTURES
-         for cmd, (_, fmts) in COMMANDS.items() for fmt in fmts]
+         for cmd, (_, fmts) in COMMANDS.items()
+         if cmd in ONLY.get(fx, COMMANDS) for fmt in fmts]
 
 
 def write_inputs(folder, fixture):
     pair, plan, z, syn, n = FIXTURES[fixture]
     texts = {"g": format_matrix(pair.G), "h": format_matrix(pair.H),
-             "plan": format_plan(plan), "z": z, "syn": syn}
+             "plan": plan and format_plan(plan), "z": z, "syn": syn}
     paths = {"n": str(n)}
     for key, text in texts.items():
+        if text is None:
+            continue
         path = Path(folder) / f"{fixture}_{key}.txt"
         path.write_text(text + "\n")
         paths[key] = str(path)
