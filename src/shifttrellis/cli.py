@@ -111,7 +111,7 @@ def cmd_check_gh(args):
     try:
         prod = mat_mul_transpose(g, h)
     except ValueError as exc:
-        raise _Fail(2, str(exc)) from None
+        raise _Fail(1, f"not a valid pair: {exc}") from None
     nonzero = [(p, q, prod.entry(p, q))
                for p in range(1, prod.rows + 1)
                for q in range(1, prod.cols + 1) if prod.entry(p, q)]
@@ -269,9 +269,8 @@ def cmd_decode(args):
         raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
     z_pad = z.padded(len(z) + memory(h))
     zeta = syndrome(z_pad, h)
-    t = build_error_trellis(h, zeta)
     try:
-        e_hat, weight = min_weight_path(t)
+        e_hat, weight = min_weight_path(build_error_trellis(h, zeta))
     except ValueError as exc:
         raise _Fail(1, str(exc)) from None
     y_hat = z_pad ^ e_hat
@@ -364,8 +363,11 @@ def cmd_oracle(args):
             lines.append("  " + format_blocks(p))
     for trial in range(1, args.trials + 1):
         zeta = random_feasible_syndrome(pair.H, args.n_blocks, rng)
-        t_paths = enumerate_paths(build_error_trellis(pair.H, zeta))
-        b_paths = brute_errors(pair.H, zeta)
+        try:
+            t_paths = enumerate_paths(build_error_trellis(pair.H, zeta))
+            b_paths = brute_errors(pair.H, zeta)
+        except ValueError as exc:
+            raise _Fail(1, str(exc)) from None
         if set(t_paths) == set(b_paths):
             lines.append(f"syndrome trial {trial:02d}: OK ({len(b_paths)} paths)")
         else:

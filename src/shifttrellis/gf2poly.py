@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 Poly = int
 
+# Largest exponent parse_poly accepts; D^k costs an int of k + 1 bits.
+MAX_EXPONENT = 1024
+
 
 def degree(p):
     """Degree of p, or None for the zero polynomial (which has no degree)."""
@@ -62,7 +65,8 @@ def divide_by_power(p: Poly, l: int) -> Poly:
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse terms like "1+D+D^2" (no whitespace).  Repeated terms cancel."""
+    """Parse terms like "1+D+D^2" (no whitespace).  Repeated terms cancel,
+    and an exponent above MAX_EXPONENT is refused."""
     p = 0
     for term in text.split("+"):
         if term == "0":
@@ -72,7 +76,10 @@ def parse_poly(text: str) -> Poly:
         elif term == "D":
             p ^= 2
         elif term.startswith("D^") and term[2:].isdigit():
-            p ^= 1 << int(term[2:])
+            k = int(term[2:])
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent {k} exceeds cap {MAX_EXPONENT}")
+            p ^= 1 << k
         else:
             raise ValueError(f"bad polynomial term {term!r}")
     return p

@@ -9,7 +9,16 @@ the lowest bit.  Paths never depend on this packing, only node names do.
 
 Sections are explicit branch sets because reduced trellises are
 time-varying: shifting makes some label bits inadmissible near the
-boundaries, and those constraints arrive here as per-section masks.
+boundaries, and those constraints arrive here as per-section masks.  Apart
+from the masks, the flush and (on the error side) the syndrome block, every
+section is the same, so each builder names a section by that key and the
+branches of one (key, state) are computed once and shared by every section
+with that key.  Both builders refuse, before any work, a trellis whose
+states x sections x branches per state exceed MAX_TRELLIS_WORK.
+
+min_weight_path decodes in two passes linear in the branch count, a
+backward cost-to-go pass and a forward pass over the states tied on the
+best prefix, and returns exactly the minimum of (weight, label sequence).
 """
 
 from __future__ import annotations
@@ -26,6 +35,10 @@ from .gf2poly import (
     overall_constraint_length,
     row_degree,
 )
+
+
+# Most 2^state_bits x horizon x branches per state a builder will build.
+MAX_TRELLIS_WORK = 1 << 24
 
 
 class Branch(NamedTuple):
@@ -77,20 +90,38 @@ def _norm_masks(masks, horizon, n):
     return out
 
 
-def _sweep(horizon, n, state_bits, branches_from):
+def _sweep(horizon, n, state_bits, branch_bits, key_of, branches_for):
     """Forward-build sections from state 0, then drop every branch that is
-    not on some path ending in state 0."""
+    not on some path ending in state 0.
+
+    key_of(t) names all that section t depends on besides the state, and
+    branches_for(key, state) yields that state's (next state, label) pairs;
+    each (key, state) is expanded once.  branch_bits is log2 of the most
+    branches a state can have.
+    """
+    if horizon << state_bits + branch_bits > MAX_TRELLIS_WORK:
+        raise ValueError(
+            f"trellis too large: 2^{state_bits} states x {horizon} sections "
+            f"x 2^{branch_bits} branches exceeds {MAX_TRELLIS_WORK}")
+    # States run in increasing order and each memo entry is sorted, so every
+    # section comes out sorted by (from state, to state, label).
+    memo = {}
     sections = []
     frontier = {0}
     for t in range(1, horizon + 1):
+        key = key_of(t)
         sec = []
         for s in sorted(frontier):
-            sec.extend(Branch(s, ns, label) for ns, label in branches_from(t, s))
+            branches = memo.get((key, s))
+            if branches is None:
+                branches = memo[key, s] = tuple(sorted(
+                    Branch(s, ns, lbl) for ns, lbl in branches_for(key, s)))
+            sec.extend(branches)
         sections.append(sec)
         frontier = {b.to_state for b in sec}
     alive = {0}
     for t in range(horizon - 1, -1, -1):
-        kept = tuple(sorted(b for b in sections[t] if b.to_state in alive))
+        kept = tuple([b for b in sections[t] if b.to_state in alive])
         sections[t] = kept
         alive = {b.from_state for b in kept}
     feasible = horizon == 0 or bool(sections[0])
@@ -127,17 +158,19 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
                 new_state |= ((fld >> 1) | (u << (nu - 1))) << off
         return new_state, tuple(label)
 
-    def branches_from(t, state):
-        inputs_iter = (itertools.product((0, 1), repeat=k)
-                       if t <= free_until else ((0,) * k,))
-        forced = masks.get(t, ())
-        for inputs in inputs_iter:
-            ns, label = step(state, inputs)
-            if any(label[j - 1] for j in forced):
-                continue
-            yield ns, label
+    def key_of(t):
+        return t <= free_until, masks.get(t, frozenset())
 
-    return _sweep(horizon, n, overall_constraint_length(G), branches_from)
+    def branches_for(key, state):
+        free, forced = key
+        for inputs in (itertools.product((0, 1), repeat=k) if free
+                       else ((0,) * k,)):
+            ns, label = step(state, inputs)
+            if not any(label[j - 1] for j in forced):
+                yield ns, label
+
+    return _sweep(horizon, n, overall_constraint_length(G), k,
+                  key_of, branches_for)
 
 
 def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
@@ -183,21 +216,25 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
             new_state |= nf << off
         return new_state, tuple(out)
 
-    def branches_from(t, state):
-        forced = set(masks.get(t, ()))
-        if t > n_real:
-            forced.update(range(1, n + 1))
+    flush = frozenset(range(1, n + 1))
+
+    def key_of(t):
+        return (syndrome[t - 1],
+                flush if t > n_real else masks.get(t, frozenset()))
+
+    def branches_for(key, state):
+        want, forced = key
         free = [j for j in range(1, n + 1) if j not in forced]
-        want = syndrome[t - 1]
         for bits in itertools.product((0, 1), repeat=len(free)):
             e = [0] * n
             for j, b in zip(free, bits):
                 e[j - 1] = b
             ns, out = step(state, e)
-            if tuple(out) == want:
+            if out == want:
                 yield ns, tuple(e)
 
-    return _sweep(horizon, n, overall_constraint_length(H), branches_from)
+    return _sweep(horizon, n, overall_constraint_length(H), n,
+                  key_of, branches_for)
 
 
 def enumerate_paths(trellis: Trellis):
@@ -215,23 +252,40 @@ def enumerate_paths(trellis: Trellis):
 
 
 def min_weight_path(trellis: Trellis):
-    """Minimum Hamming-weight path and its weight, ties broken lexically."""
-    best = {0: (0, ())}
-    for sec in trellis.sections:
-        nxt = {}
-        for b in sec:
-            if b.from_state not in best:
-                continue
-            w, pref = best[b.from_state]
-            cand = (w + sum(b.label), pref + (b.label,))
-            cur = nxt.get(b.to_state)
-            if cur is None or cand < cur:
-                nxt[b.to_state] = cand
-        best = nxt
-    if 0 not in best:
+    """Minimum Hamming-weight path and its weight, ties broken lexically.
+
+    The result is the minimum of (weight, label sequence) over all paths,
+    found in two passes linear in the branch count (Viterbi without prefix
+    copies; Forney, Proc. IEEE 1973).  A backward pass gives each state the
+    least weight still to go to state 0 at the end.  A forward pass then
+    follows the set of states that the best prefix so far can end in, and
+    at each section appends the smallest label that still completes at the
+    optimal weight.  It is a set because one state may have two branches
+    with the same label, so equal prefixes can reach different states.
+    """
+    sections = trellis.sections
+    to_go = [{} for _ in sections] + [{0: 0}]
+    for t in range(len(sections) - 1, -1, -1):
+        after, here = to_go[t + 1], to_go[t]
+        for s, ns, label in sections[t]:
+            w = after.get(ns)
+            if w is not None:
+                w += sum(label)
+                if w < here.get(s, w + 1):
+                    here[s] = w
+    if 0 not in to_go[0]:
         raise ValueError("no admissible path")
-    w, pref = best[0]
-    return BlockSequence(trellis.n, pref), w
+    weight = left = to_go[0][0]
+    states, labels = {0}, []
+    for sec, after in zip(sections, to_go[1:]):
+        tied = [(label, ns) for s, ns, label in sec
+                if s in states and ns in after
+                and sum(label) + after[ns] == left]
+        best = min(label for label, _ in tied)
+        states = {s for label, s in tied if label == best}
+        labels.append(best)
+        left -= sum(best)
+    return BlockSequence(trellis.n, tuple(labels)), weight
 
 
 def trellis_dot(trellis: Trellis) -> str:

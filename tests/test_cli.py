@@ -74,6 +74,21 @@ def test_check_gh_json(files, capsys):
     assert obj["product"] == [["0", "0"]]
 
 
+def test_check_gh_column_count_mismatch(files, capsys):
+    # the same exit status and message as every other pair command
+    g = files["tmp"] / "G3.txt"
+    g.write_text("1,1,0;1,1,0\n")
+    h = files["tmp"] / "H2.txt"
+    h.write_text("1,1\n")
+    plan = ("--plan", files["plan"])
+    for argv in (("check-gh", g, h), ("reduce", g, h, *plan)):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert rc == 1, argv[0]
+        assert out == ""
+        assert err == ("error: not a valid pair: "
+                       "column counts differ: 3 and 2\n")
+
+
 def test_transform(files, capsys):
     rc, out, _ = run(capsys, "transform", files["g"], files["h"],
                      "--plan", files["plan"])
@@ -214,6 +229,35 @@ def test_parse_error_exit_code(files, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_exponent_cap_exit_code(files, capsys):
+    big = files["tmp"] / "Gbig.txt"
+    big.write_text("1+D^1025,1,1\n")
+    rc, out, err = run(capsys, "check-gh", str(big), files["h"])
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: {big}: row 1, entry 1: "
+                   "exponent 1025 exceeds cap 1024\n")
+
+
+def test_trellis_work_cap_exit_code(files, capsys):
+    # 2^30 states: refused before any section is built
+    h = files["tmp"] / "Hwide.txt"
+    h.write_text("1+D^30,1\n")
+    z = files["tmp"] / "z2.txt"
+    z.write_text("10 11\n")
+    rc, out, err = run(capsys, "decode", str(h), str(z))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: trellis too large: 2^30 states")
+    g = files["tmp"] / "Gone.txt"
+    g.write_text("1,1\n")
+    h.write_text("D^1000,D^1000\n")
+    rc, out, err = run(capsys, "oracle", str(g), str(h), "--trials", "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: trellis too large: 2^1000 states")
 
 
 def test_missing_file_exit_code(files, capsys):

@@ -24,6 +24,7 @@ from shifttrellis import (
     row_degree,
     row_delay,
 )
+from shifttrellis.gf2poly import MAX_EXPONENT
 
 from pairs import G_BACK, G_MAIN, H_BACK, H_BACK_COLSHIFT, H_BACK_DUAL, H_MAIN, H_T2
 
@@ -55,6 +56,13 @@ def test_parse_rejects_garbage():
     for bad in ("", "D^", "D^-1", "2", "1+", "x", "D^1.5"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+def test_parse_exponent_cap():
+    assert parse_poly(f"D^{MAX_EXPONENT}") == 1 << MAX_EXPONENT
+    with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} "
+                                         f"exceeds cap {MAX_EXPONENT}"):
+        parse_poly(f"1+D^{MAX_EXPONENT + 1}")
 
 
 def test_repeated_terms_cancel():

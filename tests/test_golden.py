@@ -88,7 +88,8 @@ CASES = [(fx, cmd, fmt) for fx in FIXTURES
 def write_inputs(folder, fixture):
     pair, plan, z, syn, n = FIXTURES[fixture]
     texts = {"g": format_matrix(pair.G), "h": format_matrix(pair.H),
-             "plan": plan and format_plan(plan), "z": z, "syn": syn}
+             "plan": format_plan(plan) if plan else None, "z": z,
+             "syn": syn}
     paths = {"n": str(n)}
     for key, text in texts.items():
         if text is None:

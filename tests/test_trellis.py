@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from shifttrellis import (
     BlockSequence,
+    Branch,
+    Trellis,
     build_code_trellis,
     build_error_trellis,
     enumerate_paths,
@@ -14,6 +18,7 @@ from shifttrellis import (
     syndrome,
     trellis_dot,
 )
+from shifttrellis.trellis import MAX_TRELLIS_WORK
 
 from pairs import (
     ALL_PAIRS,
@@ -126,6 +131,22 @@ def test_infeasible_syndrome():
     assert len(enumerate_paths(ok)) == 4
 
 
+def test_code_trellis_work_cap():
+    # 2^24 states x 30 sections x 2 branches each is over the cap
+    msg = ("trellis too large: 2^24 states x 30 sections x 2^1 branches "
+           f"exceeds {MAX_TRELLIS_WORK}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        build_code_trellis(parse_matrix("1+D^24,1"), 30)
+
+
+def test_error_trellis_work_cap():
+    msg = ("trellis too large: 2^20 states x 40 sections x 2^2 branches "
+           f"exceeds {MAX_TRELLIS_WORK}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        build_error_trellis(parse_matrix("1+D^20,1"),
+                            BlockSequence.zero(1, 40))
+
+
 def test_code_trellis_masks():
     base = build_code_trellis(G_MAIN, 5)
     masked = build_code_trellis(G_MAIN, 5, masks={1: {3}, 5: {1, 2}})
@@ -161,6 +182,17 @@ def test_min_weight_no_path():
     t = build_error_trellis(H_BACK_COLSHIFT, zeta)
     with pytest.raises(ValueError, match="no admissible path"):
         min_weight_path(t)
+
+
+def test_min_weight_path_follows_every_tied_state():
+    # state 0 has two branches labelled 00, and both ends finish at weight
+    # 1; the smaller finish 01 is only reachable from state 2
+    t = Trellis(2, 2, 2, (
+        (Branch(0, 1, (0, 0)), Branch(0, 2, (0, 0))),
+        (Branch(1, 0, (1, 0)), Branch(2, 0, (0, 1))),
+    ))
+    e, w = min_weight_path(t)
+    assert (format_blocks(e), w) == ("00 01", 1)
 
 
 def test_branches_unique_per_section():
