@@ -27,7 +27,6 @@ from .gf2poly import (
     row_delay,
 )
 from .oracle import (
-    OracleConfig,
     assert_equal_path_sets,
     brute_codewords,
     brute_errors,

@@ -4,6 +4,16 @@ Subcommands read matrices, block sequences and plans from files in the
 text grammars of the library and write deterministic reports, so identical
 inputs always produce identical bytes.  Exit status: 0 success, 1 a check
 or construction failed, 2 inputs or arguments could not be read or parsed.
+
+Each cmd_* function returns its report and exit status; none writes output
+or catches an exception.  main alone writes the report, to stdout or to
+--out, and turns every failure into one "error: ..." line on stderr:
+- a _Fail exits with its own status: 2 from _load, the one path that reads
+  and parses an input file, and from an --out that cannot be written; 1
+  from _pair for matrices that are not a pair;
+- a ValueError or RuntimeError, the two exceptions the library raises on
+  purpose, exits 1.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -48,49 +58,23 @@ class _Fail(Exception):
         self.code = code
 
 
-def _read(path):
+def _load(parse, path, *args):
+    """parse(text of the file at path, *args); exit 2 if either step fails."""
     try:
         with open(path, "r", encoding="ascii") as f:
-            return f.read()
+            return parse(f.read(), *args)
     except OSError as exc:
         raise _Fail(2, f"cannot read {path}: {exc}") from None
-
-
-def _matrix(path):
-    try:
-        return parse_matrix(_read(path))
     except ValueError as exc:
         raise _Fail(2, f"{path}: {exc}") from None
 
 
 def _pair(g_path, h_path):
-    g, h = _matrix(g_path), _matrix(h_path)
+    g, h = _load(parse_matrix, g_path), _load(parse_matrix, h_path)
     try:
         return GHPair(g, h)
     except ValueError as exc:
         raise _Fail(1, f"not a valid pair: {exc}") from None
-
-
-def _plan(path):
-    try:
-        return parse_plan(_read(path))
-    except ValueError as exc:
-        raise _Fail(2, f"{path}: {exc}") from None
-
-
-def _sequence(path, width=None):
-    try:
-        return parse_blocks(_read(path), width)
-    except ValueError as exc:
-        raise _Fail(2, f"{path}: {exc}") from None
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="ascii") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
 
 
 def _dump(obj):
@@ -107,40 +91,34 @@ def _plan_json(plan):
 
 
 def cmd_check_gh(args):
-    g, h = _matrix(args.g), _matrix(args.h)
-    try:
-        prod = mat_mul_transpose(g, h)
-    except ValueError as exc:
-        raise _Fail(1, f"not a valid pair: {exc}") from None
+    g, h = _load(parse_matrix, args.g), _load(parse_matrix, args.h)
+    fault = GHPair.fault(g, h)
+    if g.cols != h.cols:
+        raise _Fail(1, f"not a valid pair: {fault}")
+    prod = mat_mul_transpose(g, h)
     nonzero = [(p, q, prod.entry(p, q))
                for p in range(1, prod.rows + 1)
                for q in range(1, prod.cols + 1) if prod.entry(p, q)]
-    rank_g, rank_h = full_row_rank(g), full_row_rank(h)
-    holds = not nonzero and rank_g and rank_h
     if args.format == "json":
-        text = _dump({"holds": holds,
+        text = _dump({"holds": fault is None,
                       "product": _mat_json(prod),
-                      "fullRowRank": {"G": rank_g, "H": rank_h}})
-    elif holds:
+                      "fullRowRank": {"G": full_row_rank(g),
+                                      "H": full_row_rank(h)}})
+    elif fault is None:
         text = (f"GH relation holds (n={g.cols}, "
                 f"G {g.rows}x{g.cols}, H {h.rows}x{h.cols})")
     elif nonzero:
         p, q, e = nonzero[0]
         text = f"GH relation fails: (G*H^T)[{p}][{q}] = {format_poly(e)}"
     else:
-        which = "G" if not rank_g else "H"
-        text = f"GH relation fails: {which} is not full row rank"
-    _emit(text, args.out)
-    return 0 if holds else 1
+        text = f"GH relation fails: {fault}"
+    return text, 0 if fault is None else 1
 
 
 def cmd_suggest(args):
     pair = _pair(args.g, args.h)
-    try:
-        back = suggest_backward_shift(pair.H)
-        best = search_reduction_plan(pair, args.max_exponent)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
+    back = suggest_backward_shift(pair.H)
+    best = search_reduction_plan(pair, args.max_exponent)
     if args.format == "json":
         text = _dump({"backwardShifts": list(back),
                       "bestPlan": _plan_json(best.plan),
@@ -158,30 +136,22 @@ def cmd_suggest(args):
                      f"(dual {best.nu_before_dual} -> {best.nu_after_dual})")
         lines.append("reduced: " + ("yes" if best.reduced else "no"))
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def cmd_transform(args):
-    pair, plan = _pair(args.g, args.h), _plan(args.plan)
-    try:
-        new = apply_plan(pair, plan)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
+    pair, plan = _pair(args.g, args.h), _load(parse_plan, args.plan)
+    new = apply_plan(pair, plan)
     if args.format == "json":
         text = _dump({"G": _mat_json(new.G), "H": _mat_json(new.H)})
     else:
         text = f"G': {format_matrix(new.G)}\nH': {format_matrix(new.H)}"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def cmd_reduce(args):
-    pair, plan = _pair(args.g, args.h), _plan(args.plan)
-    try:
-        rep = simultaneous_reduce(pair, plan)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
+    pair, plan = _pair(args.g, args.h), _load(parse_plan, args.plan)
+    rep = simultaneous_reduce(pair, plan)
     if args.format == "json":
         text = _dump({
             "nuBefore": rep.nu_before,
@@ -206,73 +176,45 @@ def cmd_reduce(args):
                 str(x) for x in rep.row_divisions_applied["H"]),
             f"G': {format_matrix(rep.transformed_pair.G)}",
             f"H': {format_matrix(rep.transformed_pair.H)}"])
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
-def _trellis_text(t, paths, extra=()):
-    lines = [f"state bits: {t.state_bits}", f"states: {t.state_count}"]
-    lines.extend(extra)
-    lines.append(f"paths: {len(paths)}")
-    lines.extend("  " + format_blocks(p) for p in paths)
-    return "\n".join(lines)
-
-
-def _trellis_json(t, paths, **extra):
-    obj = {"stateBits": t.state_bits, "states": t.state_count,
-           "horizon": t.horizon, "feasible": t.feasible}
-    obj.update(extra)
-    obj["paths"] = [format_blocks(p) for p in paths]
-    return _dump(obj)
+def _trellis_report(t, fmt, extra=()):
+    """Trellis t as DOT, or its state counts and every path as JSON or as
+    text, with the extra lines after the state count."""
+    if fmt == "dot":
+        return trellis_dot(t)
+    paths = [format_blocks(p) for p in enumerate_paths(t)]
+    if fmt == "json":
+        return _dump({"stateBits": t.state_bits, "states": t.state_count,
+                      "horizon": t.horizon, "feasible": t.feasible,
+                      "paths": paths})
+    return "\n".join([f"state bits: {t.state_bits}", f"states: {t.state_count}",
+                      *extra, f"paths: {len(paths)}",
+                      *("  " + p for p in paths)])
 
 
 def cmd_code_trellis(args):
-    g = _matrix(args.g)
-    try:
-        t = build_code_trellis(g, args.n_blocks)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
-    paths = enumerate_paths(t)
-    if args.format == "dot":
-        text = trellis_dot(t)
-    elif args.format == "json":
-        text = _trellis_json(t, paths)
-    else:
-        text = _trellis_text(t, paths)
-    _emit(text, args.out)
-    return 0
+    t = build_code_trellis(_load(parse_matrix, args.g), args.n_blocks)
+    return _trellis_report(t, args.format), 0
 
 
 def cmd_error_trellis(args):
-    h = _matrix(args.h)
-    syn = _sequence(args.syndrome, width=h.rows)
-    try:
-        t = build_error_trellis(h, syn, n_real=args.n_blocks)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
-    paths = enumerate_paths(t)
-    if args.format == "dot":
-        text = trellis_dot(t)
-    elif args.format == "json":
-        text = _trellis_json(t, paths)
-    else:
-        flag = "feasible: yes" if t.feasible else "feasible: no (infeasible syndrome)"
-        text = _trellis_text(t, paths, extra=[flag])
-    _emit(text, args.out)
-    return 0 if t.feasible else 1
+    h = _load(parse_matrix, args.h)
+    syn = _load(parse_blocks, args.syndrome, h.rows)
+    t = build_error_trellis(h, syn, n_real=args.n_blocks)
+    flag = "feasible: yes" if t.feasible else "feasible: no (infeasible syndrome)"
+    return _trellis_report(t, args.format, [flag]), 0 if t.feasible else 1
 
 
 def cmd_decode(args):
-    h = _matrix(args.h)
-    z = _sequence(args.z, width=h.cols)
+    h = _load(parse_matrix, args.h)
+    z = _load(parse_blocks, args.z, h.cols)
     if args.n_blocks is not None and args.n_blocks != len(z):
         raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
     z_pad = z.padded(len(z) + memory(h))
     zeta = syndrome(z_pad, h)
-    try:
-        e_hat, weight = min_weight_path(build_error_trellis(h, zeta))
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
+    e_hat, weight = min_weight_path(build_error_trellis(h, zeta))
     y_hat = z_pad ^ e_hat
     if args.format == "json":
         text = _dump({"zPadded": format_blocks(z_pad),
@@ -286,18 +228,14 @@ def cmd_decode(args):
             f"syndrome: {format_blocks(zeta)}",
             f"error estimate: {format_blocks(e_hat)} (weight {weight})",
             f"codeword estimate: {format_blocks(y_hat)}"])
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def cmd_verify(args):
-    pair, plan = _pair(args.g, args.h), _plan(args.plan)
-    z = _sequence(args.z, width=pair.n)
+    pair, plan = _pair(args.g, args.h), _load(parse_plan, args.plan)
+    z = _load(parse_blocks, args.z, pair.n)
     n_real = args.n_blocks if args.n_blocks is not None else len(z)
-    try:
-        rep = verify_simultaneous_reduction(pair, plan, z, n_real)
-    except (ValueError, RuntimeError) as exc:
-        raise _Fail(1, str(exc)) from None
+    rep = verify_simultaneous_reduction(pair, plan, z, n_real)
     if args.format == "json":
         text = _dump({
             "window": rep.window,
@@ -339,45 +277,32 @@ def cmd_verify(args):
             lines.extend("  " + format_blocks(p) for p in rep.mismatch)
         lines.append("result: " + ("PASS" if rep.passed else "FAIL"))
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if rep.passed else 1
+    return text, 0 if rep.passed else 1
 
 
 def cmd_oracle(args):
-    pair = _pair(args.g, args.h)
+    pair, n = _pair(args.g, args.h), args.n_blocks
     rng = random.Random(args.seed)
-    lines = []
-    ok = True
-    try:
-        trellis_words = enumerate_paths(build_code_trellis(pair.G, args.n_blocks))
-        brute_words = brute_codewords(pair.G, args.n_blocks)
-    except ValueError as exc:
-        raise _Fail(1, str(exc)) from None
-    if set(trellis_words) == set(brute_words):
-        lines.append(f"codewords N={args.n_blocks}: OK ({len(brute_words)} paths)")
-    else:
-        ok = False
-        lines.append(f"codewords N={args.n_blocks}: MISMATCH")
-        for p in sorted(set(trellis_words) ^ set(brute_words),
-                        key=lambda s: s.blocks):
-            lines.append("  " + format_blocks(p))
-    for trial in range(1, args.trials + 1):
-        zeta = random_feasible_syndrome(pair.H, args.n_blocks, rng)
-        try:
-            t_paths = enumerate_paths(build_error_trellis(pair.H, zeta))
-            b_paths = brute_errors(pair.H, zeta)
-        except ValueError as exc:
-            raise _Fail(1, str(exc)) from None
-        if set(t_paths) == set(b_paths):
-            lines.append(f"syndrome trial {trial:02d}: OK ({len(b_paths)} paths)")
-        else:
-            ok = False
-            lines.append(f"syndrome trial {trial:02d}: MISMATCH")
-            for p in sorted(set(t_paths) ^ set(b_paths), key=lambda s: s.blocks):
-                lines.append("  " + format_blocks(p))
+
+    def checks():
+        yield (f"codewords N={n}",
+               enumerate_paths(build_code_trellis(pair.G, n)),
+               brute_codewords(pair.G, n))
+        for trial in range(1, args.trials + 1):
+            zeta = random_feasible_syndrome(pair.H, n, rng)
+            yield (f"syndrome trial {trial:02d}",
+                   enumerate_paths(build_error_trellis(pair.H, zeta)),
+                   brute_errors(pair.H, zeta))
+
+    lines, ok = [], True
+    for label, found, truth in checks():
+        diff = sorted(set(found) ^ set(truth), key=lambda s: s.blocks)
+        ok = ok and not diff
+        lines.append(f"{label}: MISMATCH" if diff
+                     else f"{label}: OK ({len(truth)} paths)")
+        lines.extend("  " + format_blocks(p) for p in diff)
     lines.append("all checks passed" if ok else "MISMATCH detected")
-    _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return "\n".join(lines), 0 if ok else 1
 
 
 def _count(text):
@@ -480,13 +405,29 @@ def build_parser():
     return ap
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="ascii") as f:
+            f.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise _Fail(2, f"cannot write {path}: {exc}") from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, status = args.func(args)
+        if args.out:
+            _write(args.out, text)
+        else:
+            print(text)
+        return status
     except _Fail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except (ValueError, RuntimeError) as exc:
+        code, message = 1, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

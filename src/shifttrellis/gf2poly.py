@@ -227,11 +227,9 @@ def full_row_rank(M: PolyMatrix) -> bool:
 
 
 def check_gh_relation(G: PolyMatrix, H: PolyMatrix) -> bool:
-    """True iff G * H^T = 0 and both matrices have full row rank."""
-    prod = mat_mul_transpose(G, H)
-    if any(prod.entries):
-        return False
-    return full_row_rank(G) and full_row_rank(H)
+    """True iff G and H form a GHPair: matching column counts, row counts
+    adding up to n, G * H^T = 0 and both matrices of full row rank."""
+    return GHPair.fault(G, H) is None
 
 
 def reciprocal_dual(H: PolyMatrix) -> PolyMatrix:
@@ -264,23 +262,30 @@ class GHPair:
     H: PolyMatrix
 
     def __post_init__(self):
-        if self.G.cols != self.H.cols:
-            raise ValueError(
-                f"column counts differ: {self.G.cols} and {self.H.cols}")
-        if self.G.rows + self.H.rows != self.G.cols:
-            raise ValueError(
-                f"row counts {self.G.rows}+{self.H.rows} do not add up to "
-                f"n={self.G.cols}")
-        prod = mat_mul_transpose(self.G, self.H)
+        fault = GHPair.fault(self.G, self.H)
+        if fault:
+            raise ValueError(fault)
+
+    @staticmethod
+    def fault(G: PolyMatrix, H: PolyMatrix):
+        """The first pair rule G and H break, as a message, or None if they
+        form a pair.  The rules, in order: equal column counts, row counts
+        adding up to n, G * H^T = 0, G and then H of full row rank."""
+        if G.cols != H.cols:
+            return f"column counts differ: {G.cols} and {H.cols}"
+        if G.rows + H.rows != G.cols:
+            return f"row counts {G.rows}+{H.rows} do not add up to n={G.cols}"
+        prod = mat_mul_transpose(G, H)
         for p in range(1, prod.rows + 1):
             for q in range(1, prod.cols + 1):
                 e = prod.entry(p, q)
                 if e:
-                    raise ValueError(
-                        f"G*H^T is not zero: entry ({p},{q}) = {format_poly(e)}")
-        for name, M in (("G", self.G), ("H", self.H)):
+                    return (f"G*H^T is not zero: entry ({p},{q}) = "
+                            f"{format_poly(e)}")
+        for name, M in (("G", G), ("H", H)):
             if not full_row_rank(M):
-                raise ValueError(f"{name} is not full row rank")
+                return f"{name} is not full row rank"
+        return None
 
     @property
     def n(self) -> int:

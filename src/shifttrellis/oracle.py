@@ -8,36 +8,33 @@ sets is the strongest check the package has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blocks import BlockSequence, format_blocks
 from .gf2poly import PolyMatrix, exponents, memory, poly_mul
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_horizon: int = 6
-    max_info_bits: int = 16
+# Longest horizon, and most free bits (log2 of the words listed), that the
+# enumerations accept.
+MAX_HORIZON = 6
+MAX_INFO_BITS = 16
 
 
-def brute_codewords(G: PolyMatrix, n_real: int, config=None):
+def brute_codewords(G: PolyMatrix, n_real: int):
     """All terminated codeword sequences of G over n_real blocks, sorted.
 
     Information bits run free for n_real - memory(G) steps with a zero
     tail, mirroring the terminated encoder.  Raises when the horizon is
-    too short to terminate or the enumeration would blow the config caps.
+    too short to terminate or the enumeration would exceed the caps.
     """
-    cfg = config or OracleConfig()
     mem = memory(G)
     if n_real < mem:
         raise ValueError("horizon too short to terminate")
-    if n_real > cfg.max_horizon:
-        raise ValueError(f"horizon {n_real} exceeds cap {cfg.max_horizon}")
+    if n_real > MAX_HORIZON:
+        raise ValueError(f"horizon {n_real} exceeds cap {MAX_HORIZON}")
     steps = n_real - mem
     free = G.rows * steps
-    if free > cfg.max_info_bits:
+    if free > MAX_INFO_BITS:
         raise ValueError(
-            f"enumeration needs 2^{free} words, cap is 2^{cfg.max_info_bits}")
+            f"enumeration needs 2^{free} words, cap is 2^{MAX_INFO_BITS}")
     out = set()
     for word in range(1 << free):
         ys = []
@@ -54,7 +51,7 @@ def brute_codewords(G: PolyMatrix, n_real: int, config=None):
 
 
 def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
-                 masks=None, config=None):
+                 masks=None):
     """All error sequences whose convolution with H^T gives syn, sorted.
 
     Unknowns are the error bits not pinned to zero by the flush boundary
@@ -62,7 +59,6 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
     solved exactly by Gaussian elimination, and only the solution space is
     enumerated.  An unsatisfiable syndrome yields the empty list.
     """
-    cfg = config or OracleConfig()
     m, n = H.rows, H.cols
     if syn.block_width != m:
         raise ValueError(f"syndrome width {syn.block_width}, expected {m}")
@@ -73,8 +69,8 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
     if n_real < 0:
         raise ValueError(
             f"syndrome has {horizon} blocks, flush alone needs {mem}")
-    if n_real > cfg.max_horizon:
-        raise ValueError(f"horizon {n_real} exceeds cap {cfg.max_horizon}")
+    if n_real > MAX_HORIZON:
+        raise ValueError(f"horizon {n_real} exceeds cap {MAX_HORIZON}")
 
     forced = {(t, j) for t in range(n_real + 1, horizon + 1)
               for j in range(1, n + 1)}
@@ -116,10 +112,10 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
 
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(nv) if c not in pivot_cols]
-    if len(free_cols) > cfg.max_info_bits:
+    if len(free_cols) > MAX_INFO_BITS:
         raise ValueError(
             f"solution space needs 2^{len(free_cols)} words, cap is "
-            f"2^{cfg.max_info_bits}")
+            f"2^{MAX_INFO_BITS}")
 
     out = set()
     for assign in range(1 << len(free_cols)):

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gf2poly import (
+    MAX_EXPONENT,
     GHPair,
     PolyMatrix,
     column_delay,
@@ -24,6 +25,9 @@ from .gf2poly import (
     reciprocal_dual,
     row_delay,
 )
+
+# Most plans search_reduction_plan will try.
+MAX_PLANS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class ShiftPlan:
 
 
 def parse_plan(text: str) -> ShiftPlan:
-    """Parse one line per column: four integers g_div g_mul h_div h_mul."""
+    """Parse one line per column: four integers g_div g_mul h_div h_mul,
+    none above MAX_EXPONENT."""
     rows = []
     for ln, line in enumerate(text.strip().splitlines(), 1):
         parts = line.split()
@@ -70,7 +75,11 @@ def parse_plan(text: str) -> ShiftPlan:
             raise ValueError(
                 f"plan line {ln}: expected four nonnegative integers, "
                 f"got {line.strip()!r}")
-        rows.append(tuple(int(p) for p in parts))
+        row = tuple(int(p) for p in parts)
+        if max(row) > MAX_EXPONENT:
+            raise ValueError(f"plan line {ln}: exponent {max(row)} "
+                             f"exceeds cap {MAX_EXPONENT}")
+        rows.append(row)
     if not rows:
         raise ValueError("empty plan")
     g_div, g_mul, h_div, h_mul = (tuple(c) for c in zip(*rows))
@@ -204,9 +213,9 @@ def simultaneous_reduce(pair: GHPair, plan: ShiftPlan) -> ReductionReport:
     result is checked as a pair once, after row reduction; a failure there
     is a fatal internal error (RuntimeError) rather than bad input.
     """
+    g_scaled, h_scaled = _scale_pair(pair, plan)
     nu_b = overall_constraint_length(pair.G)
     nu_bd = overall_constraint_length(pair.H)
-    g_scaled, h_scaled = _scale_pair(pair, plan)
     g_fin, g_exps = reduce_rows_equivalent(g_scaled)
     h_fin, h_exps = reduce_rows_equivalent(h_scaled)
     try:
@@ -240,9 +249,16 @@ def search_reduction_plan(pair: GHPair, max_exponent: int = 4) -> ReductionRepor
 
     Returns the report of the plan with the smallest resulting constraint
     length, ties broken by the lexicographically smallest exponent vector.
-    Plans whose divisions are illegal for this pair are skipped.
+    Plans whose divisions are illegal for this pair are skipped.  A plan
+    space, (e+1)^n + e*2^n plans for bound e, above MAX_PLANS is refused
+    before any plan is built.
     """
     n = pair.n
+    size = (max_exponent + 1) ** n + max_exponent * 2 ** n
+    if size > MAX_PLANS:
+        raise ValueError(
+            f"plan space too large: {size} plans for n={n} and max exponent "
+            f"{max_exponent} exceeds {MAX_PLANS}")
     candidates = [ShiftPlan.identity(n)]
     for l in range(1, max_exponent + 1):
         for bits in itertools.product((0, 1), repeat=n):

@@ -39,6 +39,8 @@ from .gf2poly import (
 
 # Most 2^state_bits x horizon x branches per state a builder will build.
 MAX_TRELLIS_WORK = 1 << 24
+# Most paths enumerate_paths will list, the most words the oracle checks.
+MAX_PATHS = 1 << 16
 
 
 class Branch(NamedTuple):
@@ -238,7 +240,20 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
 
 
 def enumerate_paths(trellis: Trellis):
-    """Every initial-to-final label sequence, sorted lexicographically."""
+    """Every initial-to-final label sequence, sorted lexicographically.
+
+    The paths are counted first, and more than MAX_PATHS are refused
+    before any is listed.
+    """
+    counts = {0: 1}
+    for sec in trellis.sections:
+        nxt = dict.fromkeys((b.to_state for b in sec), 0)
+        for s, ns, _ in sec:
+            nxt[ns] += counts.get(s, 0)
+        counts = nxt
+    if counts.get(0, 0) > MAX_PATHS:
+        raise ValueError(
+            f"too many paths: {counts[0]} exceeds {MAX_PATHS}")
     paths = {0: [()]}
     for sec in trellis.sections:
         nxt = {}

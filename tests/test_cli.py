@@ -89,6 +89,26 @@ def test_check_gh_column_count_mismatch(files, capsys):
                        "column counts differ: 3 and 2\n")
 
 
+def test_check_gh_row_counts(files, capsys):
+    # G * H^T = 0 and both ranks are full, but 1 + 1 rows do not make n=3
+    g = files["tmp"] / "G1.txt"
+    g.write_text("1,1,0\n")
+    h = files["tmp"] / "H1.txt"
+    h.write_text("0,0,1\n")
+    rc, out, err = run(capsys, "check-gh", str(g), str(h))
+    assert (rc, out, err) == (
+        1, "GH relation fails: row counts 1+1 do not add up to n=3\n", "")
+    rc, out, _ = run(capsys, "check-gh", str(g), str(h), "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {"holds": False, "product": [["0"]],
+                               "fullRowRank": {"G": True, "H": True}}
+    rc, out, err = run(capsys, "reduce", str(g), str(h),
+                       "--plan", files["plan"])
+    assert (rc, out) == (1, "")
+    assert err == ("error: not a valid pair: "
+                   "row counts 1+1 do not add up to n=3\n")
+
+
 def test_transform(files, capsys):
     rc, out, _ = run(capsys, "transform", files["g"], files["h"],
                      "--plan", files["plan"])
@@ -260,6 +280,66 @@ def test_trellis_work_cap_exit_code(files, capsys):
     assert err.startswith("error: trellis too large: 2^1000 states")
 
 
+def test_plan_exponent_cap_exit_code(files, capsys):
+    plan = files["tmp"] / "far.txt"
+    plan.write_text("0 1025 0 0\n0 1025 0 0\n0 1025 0 0\n")
+    rc, out, err = run(capsys, "transform", files["g"], files["h"],
+                       "--plan", str(plan))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {plan}: plan line 1: exponent 1025 "
+                   "exceeds cap 1024\n")
+
+
+def test_plan_space_cap_exit_code(files, capsys):
+    rc, out, err = run(capsys, "suggest", files["g"], files["h"],
+                       "--max-exponent", "40")
+    assert (rc, out) == (1, "")
+    assert err == ("error: plan space too large: 69241 plans for n=3 and "
+                   "max exponent 40 exceeds 65536\n")
+
+
+def test_path_cap_exit_code(files, capsys):
+    # 2^17 codewords at 19 blocks: refused before any path is listed, while
+    # the DOT drawing, which lists no paths, is still made
+    g = files["tmp"] / "G2.txt"
+    g.write_text("1+D+D^2,1+D^2\n")
+    for fmt in ("text", "json"):
+        rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "19",
+                           "--format", fmt)
+        assert (rc, out) == (1, "")
+        assert err == "error: too many paths: 131072 exceeds 65536\n"
+    rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "19",
+                       "--format", "dot")
+    assert (rc, err) == (0, "")
+    assert out.startswith("digraph trellis {")
+
+
+def test_library_runtime_error_exit_code(files, capsys, monkeypatch):
+    # a RuntimeError from the library is one error line and exit 1
+    import shifttrellis.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("GH relation broken: G is not full row rank")
+
+    monkeypatch.setattr(cli, "simultaneous_reduce", broken)
+    monkeypatch.setattr(cli, "search_reduction_plan", broken)
+    for argv in (("reduce", files["g"], files["h"], "--plan", files["plan"]),
+                 ("suggest", files["g"], files["h"])):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv[0]
+        assert err == ("error: GH relation broken: "
+                       "G is not full row rank\n")
+
+
+def test_unwritable_out_exit_code(files, capsys):
+    dest = files["tmp"] / "no" / "such" / "x"
+    rc, out, err = run(capsys, "check-gh", files["g"], files["h"],
+                       "--out", str(dest))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_file_exit_code(files, capsys):
     rc, _, err = run(capsys, "check-gh", str(files["tmp"] / "nope.txt"),
                      files["h"])
@@ -337,6 +417,22 @@ def test_out_file(files, capsys):
     text = dest.read_text()
     assert text.endswith("\n")
     assert "nu before: 5 (dual 5)" in text
+
+
+def test_out_file_holds_the_stdout_bytes(files, capsys):
+    calls = [
+        ("check-gh", files["g"], files["h"], "--format", "json"),
+        ("suggest", files["gc"], files["hc"]),
+        ("verify", files["g"], files["h"], files["z"], "--plan", files["plan"]),
+        ("code-trellis", files["g"], "--n-blocks", "4", "--format", "dot"),
+        ("error-trellis", files["h"], files["zeta"]),
+        ("oracle", files["g"], files["h"], "--trials", "2"),
+    ]
+    dest = files["tmp"] / "report.txt"
+    for call in calls:
+        rc, out, _ = run(capsys, *call)
+        assert run(capsys, *call, "--out", str(dest)) == (rc, "", "")
+        assert dest.read_bytes() == out.encode("ascii"), call[0]
 
 
 def test_repeat_runs_are_identical(files, capsys):

@@ -215,6 +215,21 @@ def test_check_gh_relation():
     assert not check_gh_relation(G_MAIN, dup)
 
 
+def test_check_gh_relation_takes_the_pair_rule():
+    # G * H^T = 0 and both ranks are full, but 1 + 1 rows do not make n=3
+    g, h = parse_matrix("1,1,0"), parse_matrix("0,0,1")
+    assert mat_mul_transpose(g, h).entries == (0,)
+    assert full_row_rank(g) and full_row_rank(h)
+    assert GHPair.fault(g, h) == "row counts 1+1 do not add up to n=3"
+    assert not check_gh_relation(g, h)
+    with pytest.raises(ValueError, match="^row counts 1\\+1 do not add up"):
+        GHPair(g, h)
+    assert GHPair.fault(G_MAIN, parse_matrix("1,1")) == (
+        "column counts differ: 3 and 2")
+    assert not check_gh_relation(G_MAIN, parse_matrix("1,1"))
+    assert GHPair.fault(G_MAIN, H_MAIN) is None
+
+
 def test_reciprocal_dual():
     assert reciprocal_dual(H_BACK) == H_BACK_DUAL
     assert reciprocal_dual(H_BACK_DUAL) == H_BACK

@@ -4,7 +4,6 @@ import pytest
 
 from shifttrellis import (
     BlockSequence,
-    OracleConfig,
     assert_equal_path_sets,
     boundary_masks,
     brute_codewords,
@@ -74,9 +73,10 @@ def test_brute_codewords_are_in_kernel():
 def test_brute_codewords_caps():
     with pytest.raises(ValueError, match="exceeds cap 6"):
         brute_codewords(G_MAIN, 7)
-    wide = OracleConfig(max_horizon=30, max_info_bits=16)
-    with pytest.raises(ValueError, match=r"needs 2\^17"):
-        brute_codewords(parse_matrix("1"), 17, config=wide)
+    # the 3x3 identity has memory 0, so 6 blocks leave 3 x 6 free bits
+    identity = parse_matrix("1,0,0;0,1,0;0,0,1")
+    with pytest.raises(ValueError, match=r"needs 2\^18 words, cap is 2\^16"):
+        brute_codewords(identity, 6)
 
 
 def test_shifted_codewords_are_reduced_code_paths():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,8 @@ from shifttrellis import (
     simultaneous_reduce,
     suggest_backward_shift,
 )
+from shifttrellis.gf2poly import MAX_EXPONENT
+from shifttrellis.transform import MAX_PLANS
 
 import pairs
 from pairs import (
@@ -76,6 +79,13 @@ def test_plan_parse_format():
         parse_plan("1 0 0 0\n1 0 0")
     with pytest.raises(ValueError):
         parse_plan("")
+
+
+def test_plan_parse_exponent_cap():
+    assert parse_plan(f"0 {MAX_EXPONENT} 0 0").g_mul == (MAX_EXPONENT,)
+    with pytest.raises(ValueError, match=f"plan line 2: exponent "
+                                         f"{MAX_EXPONENT + 1} exceeds cap"):
+        parse_plan(f"0 0 0 0\n0 0 {MAX_EXPONENT + 1} 0")
 
 
 def test_plan_inverted():
@@ -230,6 +240,22 @@ def test_search_reduction_plan():
     rep2 = search_reduction_plan(GHPair(G_MAIN_RED, H_MAIN_RED))
     assert not rep2.reduced
     assert rep2.plan == ShiftPlan.identity(3)
+
+
+def test_search_plan_space_cap(monkeypatch):
+    # 41^3 + 40 * 2^3 = 69241 plans: refused before any plan is built
+    import shifttrellis.transform as transform
+
+    def no_plans(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(transform.ShiftPlan, "identity", no_plans)
+    monkeypatch.setattr(transform, "make_type1_plan", no_plans)
+    monkeypatch.setattr(transform, "make_type2_plan", no_plans)
+    msg = (f"plan space too large: 69241 plans for n=3 and max exponent 40 "
+           f"exceeds {MAX_PLANS}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        search_reduction_plan(MAIN_PAIR, 40)
 
 
 def test_random_csr_plans_preserve_product_zero():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from shifttrellis import (
     syndrome,
     trellis_dot,
 )
-from shifttrellis.trellis import MAX_TRELLIS_WORK
+from shifttrellis.trellis import MAX_PATHS, MAX_TRELLIS_WORK
 
 from pairs import (
     ALL_PAIRS,
@@ -145,6 +146,22 @@ def test_error_trellis_work_cap():
     with pytest.raises(ValueError, match=re.escape(msg)):
         build_error_trellis(parse_matrix("1+D^20,1"),
                             BlockSequence.zero(1, 40))
+
+
+def test_enumerate_paths_cap():
+    # two parallel branches per section: 2^17 paths, counted, not listed
+    sec = (Branch(0, 0, (0,)), Branch(0, 0, (1,)))
+    t = Trellis(1, 17, 0, (sec,) * 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"too many paths: {1 << 17} exceeds {MAX_PATHS}")):
+            enumerate_paths(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert len(enumerate_paths(Trellis(1, 3, 0, (sec,) * 3))) == 8
 
 
 def test_code_trellis_masks():
