@@ -21,6 +21,7 @@ from .blocks import BlockSequence
 from .gf2poly import (
     GHPair,
     PolyMatrix,
+    degree,
     exponents,
     memory,
     overall_constraint_length,
@@ -129,15 +130,30 @@ class VerifyReport:
     mismatch: tuple
 
 
+def _spill(shifts, G: PolyMatrix, H: PolyMatrix) -> int:
+    """Blocks past n_real that the reduced trellises need.
+
+    Column j of the shifted data fills n_real + |s_j| blocks.  Its syndrome
+    drains through column j of H for as many blocks as that column's
+    degree.  On the code side every input must stay free until its row's
+    output ends there: with one row the shift alone allows that, with more
+    rows the flush of G is added, since a short row's input runs longer.
+    """
+    reach = max(abs(s) + max((degree(e) for e in H.column(j) if e), default=0)
+                for j, s in enumerate(shifts, 1))
+    code = max(abs(s) for s in shifts) + (memory(G) if G.rows > 1 else 0)
+    return max(memory(G), code, reach)
+
+
 def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
                                   z: BlockSequence, n_real: int) -> VerifyReport:
     """Reduce the pair, shift z, and compare the two reduced trellises.
 
-    The check runs over a window wide enough for both flushes and the
-    largest shift.  It passes when the reduced code-trellis paths coincide,
-    as a set, with the shifted received data xor each reduced error-trellis
-    path; that equality is exactly the path-level statement of simultaneous
-    reduction.  On failure the report carries the symmetric difference.
+    The check runs over a window wide enough for the shifted data and
+    both flushes after them (see _spill).  It passes when the reduced
+    code-trellis paths coincide, as a set, with the shifted received data
+    xor each reduced error-trellis path; that equality is exactly the
+    path-level statement of simultaneous reduction.  On failure the report carries the symmetric difference.
     """
     if z.block_width != pair.n:
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
@@ -149,9 +165,7 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
 
     red = simultaneous_reduce(pair, plan)
     g_fin, h_fin = red.transformed_pair.G, red.transformed_pair.H
-    shifts = net_shifts(plan)
-    window = n_real + max(memory(g_fin), memory(h_fin),
-                          max((abs(s) for s in shifts), default=0))
+    window = n_real + _spill(net_shifts(plan), g_fin, h_fin)
 
     z_pad = BlockSequence(z.block_width, z.blocks[:n_real]).padded(window)
     z_sh = shift_received(z_pad, plan, n_real)

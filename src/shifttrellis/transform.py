@@ -13,6 +13,7 @@ which the product G * H^T is preserved.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .gf2poly import (
@@ -40,7 +41,12 @@ class ShiftPlan:
     def __post_init__(self):
         vecs = []
         for name in ("g_div", "g_mul", "h_div", "h_mul"):
-            v = tuple(int(x) for x in getattr(self, name))
+            raw = tuple(getattr(self, name))
+            try:
+                v = tuple(map(operator.index, raw))
+            except TypeError:
+                raise ValueError(
+                    f"{name} has a non-integer exponent: {raw}") from None
             if any(x < 0 for x in v):
                 raise ValueError(f"{name} has a negative exponent: {v}")
             object.__setattr__(self, name, v)
@@ -127,7 +133,7 @@ def make_type1_plan(n: int, l: int, g_cols, h_cols) -> ShiftPlan:
 
 def make_type2_plan(n: int, shifts) -> ShiftPlan:
     """Matched divide-on-G, multiply-on-H with the same exponent per column."""
-    shifts = tuple(int(s) for s in shifts)
+    shifts = tuple(shifts)
     if len(shifts) != n:
         raise ValueError(f"expected {n} shifts, got {len(shifts)}")
     zeros = (0,) * n
@@ -245,13 +251,16 @@ def compose_plans(p1: ShiftPlan, p2: ShiftPlan) -> ShiftPlan:
 
 
 def search_reduction_plan(pair: GHPair, max_exponent: int = 4) -> ReductionReport:
-    """Exhaust single-step type-1 and type-2 plans up to the exponent bound.
+    """The best single-step type-1 or type-2 plan up to the exponent bound.
 
-    Returns the report of the plan with the smallest resulting constraint
-    length, ties broken by the lexicographically smallest exponent vector.
-    Plans whose divisions are illegal for this pair are skipped.  A plan
-    space, (e+1)^n + e*2^n plans for bound e, above MAX_PLANS is refused
-    before any plan is built.
+    Only plans whose divisions the column delays allow are built: column j
+    takes a G-division by D^l only if its delay in G is at least l, an
+    H-division likewise in H, and an all-zero column takes any.  Every
+    such plan is reduced in full, so the search is exact over the legal
+    plans.  Returns the report of the plan with the smallest resulting
+    constraint length, ties broken by the lexicographically smallest
+    exponent vector.  A nominal plan space, (e+1)^n + e*2^n plans for
+    bound e, above MAX_PLANS is refused before any plan is built.
     """
     n = pair.n
     size = (max_exponent + 1) ** n + max_exponent * 2 ** n
@@ -259,22 +268,23 @@ def search_reduction_plan(pair: GHPair, max_exponent: int = 4) -> ReductionRepor
         raise ValueError(
             f"plan space too large: {size} plans for n={n} and max exponent "
             f"{max_exponent} exceeds {MAX_PLANS}")
+
+    def caps(M):
+        delays = (column_delay(M, j) for j in range(1, n + 1))
+        return [max_exponent if d is None else min(d, max_exponent)
+                for d in delays]
+
+    g_cap, h_cap = caps(pair.G), caps(pair.H)
     candidates = [ShiftPlan.identity(n)]
     for l in range(1, max_exponent + 1):
-        for bits in itertools.product((0, 1), repeat=n):
+        sides = ([s for s, cap in ((0, hc), (1, gc)) if cap >= l]
+                 for gc, hc in zip(g_cap, h_cap))
+        for bits in itertools.product(*sides):
             g_cols = [j for j in range(1, n + 1) if bits[j - 1]]
             h_cols = [j for j in range(1, n + 1) if not bits[j - 1]]
             candidates.append(make_type1_plan(n, l, g_cols, h_cols))
-    for shifts in itertools.product(range(max_exponent + 1), repeat=n):
+    for shifts in itertools.product(*(range(cap + 1) for cap in g_cap)):
         if any(shifts):
             candidates.append(make_type2_plan(n, shifts))
-    best = None
-    for plan in candidates:
-        try:
-            report = simultaneous_reduce(pair, plan)
-        except ValueError:
-            continue
-        key = (report.nu_after, plan.exponent_vector())
-        if best is None or key < best[0]:
-            best = (key, report)
-    return best[1]
+    return min((simultaneous_reduce(pair, plan) for plan in candidates),
+               key=lambda r: (r.nu_after, r.plan.exponent_vector()))

@@ -4,12 +4,15 @@ import pytest
 
 from shifttrellis import (
     BlockSequence,
+    GHPair,
     ShiftPlan,
     boundary_masks,
     format_blocks,
+    make_type1_plan,
     make_type2_plan,
     net_shifts,
     parse_blocks,
+    parse_matrix,
     reconstruct_code_paths,
     shift_received,
     syndrome,
@@ -191,3 +194,29 @@ def test_verify_code_trellis_respects_masks():
         for t, cols in rep.masks.items():
             for j in cols:
                 assert y.bit(t, j) == 0
+
+
+def test_verify_window_drains_the_shifted_syndrome():
+    # Column 1 moves one block later and column 1 of H' has degree 3, so
+    # the syndrome of the shifted data needs 1 + 1 + 3 blocks; a window of
+    # n_real + max(memory, shift) = 4 cut it short and the reduced error
+    # trellis lost every path.
+    pair = GHPair(parse_matrix("1,D,D^2+D^3+D^4"),
+                  parse_matrix("D,1,0;D^2+D^3+D^4,0,1"))
+    plan = make_type1_plan(3, 1, (2, 3), (1,))
+    rep = verify_simultaneous_reduction(pair, plan, parse_blocks("100"), 1)
+    assert rep.window == 5
+    assert rep.passed
+    assert rep.error_paths == (rep.z_shifted,)
+
+
+def test_verify_window_keeps_every_input_free():
+    # G' = 1,0,0;0,1,1+D: the input of the short row must stay free until
+    # the shifted column 1 ends, past the point where the trellis stops
+    # the inputs of a memory-1 encoder over n_real + 1 blocks.
+    pair = GHPair(parse_matrix("D,0,0;0,D,D+D^2"), parse_matrix("0,1+D,1"))
+    plan = make_type1_plan(3, 1, (2, 3), (1,))
+    rep = verify_simultaneous_reduction(pair, plan, BlockSequence.zero(3, 2), 2)
+    assert rep.window == 4
+    assert rep.passed
+    assert len(rep.code_paths) == len(rep.error_paths) == 8

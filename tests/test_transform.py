@@ -125,6 +125,46 @@ def test_make_type2_plan():
         make_type2_plan(3, (1, 0))
 
 
+class Index:
+    """An integer-like exponent, as numpy's integer scalars are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_plan_refuses_fractional_exponents():
+    msg = "g_div has a non-integer exponent: (1.9, 0, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        ShiftPlan((1.9, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
+    msg = "h_div has a non-integer exponent: (0, 0, 0.5)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        ShiftPlan((1, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
+    with pytest.raises(ValueError, match="non-integer"):
+        ShiftPlan((1.0, 0), (0, 0), (0, 0), (0, 0))
+    plan = ShiftPlan((Index(1), 0), (0, 0), (0, Index(1)), (0, 0))
+    assert plan.exponent_vector() == (1, 0, 0, 0, 0, 1, 0, 0)
+    assert all(type(x) is int for x in plan.exponent_vector())
+
+
+def test_make_type1_plan_refuses_fractional_exponent():
+    msg = "g_div has a non-integer exponent: (1.5, 0, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        make_type1_plan(3, 1.5, (1,), (2, 3))
+    msg = "h_div has a non-integer exponent: (1.5, 1.5, 1.5)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        make_type1_plan(3, 1.5, (), (1, 2, 3))
+
+
+def test_make_type2_plan_refuses_fractional_shift():
+    msg = "g_div has a non-integer exponent: (1.7, 0, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        make_type2_plan(3, (1.7, 0, 0))
+    assert make_type2_plan(3, (0, 0, Index(1))) == T2_PLAN
+
+
 def test_apply_plan_type1():
     out = apply_plan(MAIN_PAIR, MAIN_PLAN)
     assert out.G == G_MAIN_RED
