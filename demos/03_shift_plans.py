@@ -1,15 +1,15 @@
 """Shift plans: moving constraint length out of a pair, both matrices at once.
 
-A plan gives every column four exponents (divide/multiply on each side).
-Legal plans keep the net exponent constant across columns, which is what
-preserves the pair relation; the two stock constructions and their
+A plan gives column j one signed exponent g_j on G and the constant c,
+and H's column gets c - g_j: the net exponent is c in every column, which
+is what preserves the pair relation.  Plans print as four exponents per
+column (gDiv gMul hDiv hMul); the two stock constructions and their
 composition are shown on a pair that reduces from 32 states to 4.
 """
 
 from shifttrellis import (
     GHPair,
     compose_plans,
-    csr_constant,
     format_matrix,
     format_plan,
     make_type1_plan,
@@ -29,10 +29,10 @@ t2 = make_type2_plan(3, (0, 0, 2))
 print()
 print("type-1 step, divisions split over the column partition {2,3} | {1}:")
 print(format_plan(t1))
-print(f"net exponent constant: {csr_constant(t1)}")
+print(f"net exponent constant: {t1.c}")
 print("type-2 step, column 3 divided on G and multiplied on H:")
 print(format_plan(t2))
-print(f"net exponent constant: {csr_constant(t2)}")
+print(f"net exponent constant: {t2.c}")
 
 step1 = simultaneous_reduce(pair, t1)
 print()

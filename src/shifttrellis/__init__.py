@@ -35,7 +35,6 @@ from .oracle import (
 from .sequences import (
     VerifyReport,
     boundary_masks,
-    net_shifts,
     reconstruct_code_paths,
     shift_received,
     syndrome,
@@ -46,7 +45,6 @@ from .transform import (
     ShiftPlan,
     apply_plan,
     compose_plans,
-    csr_constant,
     format_plan,
     make_type1_plan,
     make_type2_plan,

@@ -86,8 +86,7 @@ def _mat_json(M):
 
 
 def _plan_json(plan):
-    return {"gDiv": list(plan.g_div), "gMul": list(plan.g_mul),
-            "hDiv": list(plan.h_div), "hMul": list(plan.h_mul)}
+    return dict(zip(("gDiv", "gMul", "hDiv", "hMul"), map(list, plan.parts())))
 
 
 def cmd_check_gh(args):

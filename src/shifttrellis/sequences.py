@@ -1,13 +1,9 @@
 """Syndromes, per-column cyclic shifts, and the end-to-end reduction check.
 
-A plan moves the contents of column j by the net amount
-
-    s_j = h_div_j - h_mul_j
-
-positive to the right (later in time), negative to the left.  Because an
-admissible plan keeps the combined exponent constant across columns, the
-code-side exponents prescribe the same movement once that global constant
-is absorbed into the time origin, so one signed shift serves received
+A plan moves the contents of column j by s_j = ShiftPlan.shifts[j], H's
+exponent on that column, positive to the right (later in time), negative
+to the left.  The code side moves by the same s_j once the plan's constant
+c is absorbed into the time origin, so one signed shift serves received
 data, error sequences and codewords alike; that is what keeps z' = y' + e'
 true blockwise.  Shifts are cyclic within a per-column window of
 n_real + |s_j| blocks and the identity beyond it.
@@ -30,9 +26,11 @@ from .transform import ReductionReport, ShiftPlan, simultaneous_reduce
 from .trellis import build_code_trellis, build_error_trellis, enumerate_paths
 
 
-def net_shifts(plan: ShiftPlan) -> tuple:
-    """Per-column net movement, positive meaning delay."""
-    return tuple(d - m for d, m in zip(plan.h_div, plan.h_mul))
+def _source(p: int, s: int, n_real: int) -> int:
+    """The 0-based position that window position p of a column shifted by
+    s reads: cyclic within the first n_real + |s| blocks, fixed after."""
+    mod = n_real + abs(s)
+    return (p - s) % mod if p < mod else p
 
 
 def syndrome(z: BlockSequence, H: PolyMatrix) -> BlockSequence:
@@ -63,19 +61,18 @@ def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSeque
     they ride one clock under an admissible plan.  The shift is invertible:
     shifting the result by plan.inverted() gives z back.
     """
-    shifts = net_shifts(plan)
+    shifts = plan.shifts
     if len(shifts) != z.block_width:
         raise ValueError(
             f"plan has {len(shifts)} columns, blocks are {z.block_width} wide")
-    mods = [n_real + abs(s) for s in shifts]
-    if len(z) < max(mods):
+    need = n_real + max(abs(s) for s in shifts)
+    if len(z) < need:
         raise ValueError(
-            f"sequence has {len(z)} blocks, shift window needs {max(mods)}")
+            f"sequence has {len(z)} blocks, shift window needs {need}")
     out = [[0] * z.block_width for _ in range(len(z))]
-    for j, (s, mod) in enumerate(zip(shifts, mods), 1):
+    for j, s in enumerate(shifts, 1):
         for p in range(len(z)):
-            src = (p - s) % mod if p < mod else p
-            out[p][j - 1] = z.bit(src + 1, j)
+            out[p][j - 1] = z.bit(_source(p, s, n_real) + 1, j)
     return BlockSequence(z.block_width, tuple(tuple(r) for r in out))
 
 
@@ -91,15 +88,13 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
     side and the error side.  The horizon defaults to n_real plus the
     largest shift magnitude, which makes the identity plan's masks empty.
     """
-    shifts = net_shifts(plan)
+    shifts = plan.shifts
     if horizon is None:
-        horizon = n_real + max((abs(s) for s in shifts), default=0)
+        horizon = n_real + max(abs(s) for s in shifts)
     out = {}
     for j, s in enumerate(shifts, 1):
-        mod = n_real + abs(s)
         for t in range(1, horizon + 1):
-            alias = (t - 1 - s) % mod + 1 if t <= mod else t
-            if alias > n_real:
+            if _source(t - 1, s, n_real) >= n_real:
                 out.setdefault(t, set()).add(j)
     return {t: frozenset(cols) for t, cols in sorted(out.items())}
 
@@ -165,7 +160,7 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
 
     red = simultaneous_reduce(pair, plan)
     g_fin, h_fin = red.transformed_pair.G, red.transformed_pair.H
-    window = n_real + _spill(net_shifts(plan), g_fin, h_fin)
+    window = n_real + _spill(plan.shifts, g_fin, h_fin)
 
     z_pad = BlockSequence(z.block_width, z.blocks[:n_real]).padded(window)
     z_sh = shift_received(z_pad, plan, n_real)

@@ -1,18 +1,18 @@
 """Shift plans: per-column D-power transformations applied to a matrix pair.
 
-A plan holds four exponent vectors, one entry per column.  Column j of G is
-multiplied by D^(g_mul_j) and divided by D^(g_div_j); the h vectors act on H
-the same way.  A plan is admissible when the combined exponent
-
-    (g_div_j + h_div_j) - (g_mul_j + h_mul_j)
-
-is the same constant for every column, which is exactly the condition under
-which the product G * H^T is preserved.
+A plan is one signed exponent g_j per column and a constant c: column j of
+G is divided by D^(g_j) and column j of H by D^(c - g_j), a negative
+exponent multiplying.  The combined exponent is then c in every column,
+which is the admissibility condition C_SR that preserves G * H^T = 0.
+Plan files and reports write a plan as four nonnegative exponents per
+column, g_div g_mul h_div h_mul; ShiftPlan.from_parts reads that form and
+is the one place C_SR is checked.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -31,49 +31,75 @@ from .gf2poly import (
 MAX_PLANS = 1 << 16
 
 
+def _integers(name: str, raw) -> tuple:
+    raw = tuple(raw)
+    try:
+        return tuple(map(operator.index, raw))
+    except TypeError:
+        raise ValueError(f"{name} has a non-integer exponent: {raw}") from None
+
+
 @dataclass(frozen=True)
 class ShiftPlan:
-    g_div: tuple
-    g_mul: tuple
-    h_div: tuple
-    h_mul: tuple
+    g: tuple
+    c: int
 
     def __post_init__(self):
+        object.__setattr__(self, "g", _integers("g", self.g))
+        object.__setattr__(self, "c", _integers("c", (self.c,))[0])
+        if not self.g:
+            raise ValueError("a plan needs at least one column")
+
+    @classmethod
+    def from_parts(cls, g_div, g_mul, h_div, h_mul) -> "ShiftPlan":
+        """The plan of four nonnegative exponent vectors, refused unless
+        the per-column value g_div + h_div - g_mul - h_mul is constant."""
         vecs = []
-        for name in ("g_div", "g_mul", "h_div", "h_mul"):
-            raw = tuple(getattr(self, name))
-            try:
-                v = tuple(map(operator.index, raw))
-            except TypeError:
-                raise ValueError(
-                    f"{name} has a non-integer exponent: {raw}") from None
-            if any(x < 0 for x in v):
-                raise ValueError(f"{name} has a negative exponent: {v}")
-            object.__setattr__(self, name, v)
-            vecs.append(v)
-        if len({len(v) for v in vecs}) != 1 or not vecs[0]:
+        for name, raw in zip(("g_div", "g_mul", "h_div", "h_mul"),
+                             (g_div, g_mul, h_div, h_mul)):
+            vecs.append(_integers(name, raw))
+            if min(vecs[-1], default=0) < 0:
+                raise ValueError(f"{name} has a negative exponent: {vecs[-1]}")
+        if len(set(map(len, vecs))) != 1 or not vecs[0]:
             raise ValueError("exponent vectors must share one positive length")
+        g = tuple(d - m for d, m in zip(vecs[0], vecs[1]))
+        vals = [x + d - m for x, d, m in zip(g, vecs[2], vecs[3])]
+        bad = [j for j, v in enumerate(vals, 1) if v != vals[0]]
+        if bad:
+            raise ValueError(
+                f"C_SR violated: columns {bad} differ from column 1 "
+                f"(per-column values {vals})")
+        return cls(g, vals[0])
 
     @property
     def n(self) -> int:
-        return len(self.g_div)
+        return len(self.g)
+
+    @property
+    def shifts(self) -> tuple:
+        """H's exponents, also how far each column of a sequence moves."""
+        return tuple(self.c - x for x in self.g)
 
     @classmethod
     def identity(cls, n: int) -> "ShiftPlan":
-        z = (0,) * n
-        return cls(z, z, z, z)
+        return cls((0,) * n, 0)
 
     def inverted(self) -> "ShiftPlan":
-        """Swap divides with multiplies on both sides (the undo plan)."""
-        return ShiftPlan(self.g_mul, self.g_div, self.h_mul, self.h_div)
+        """The undo plan: every exponent negated."""
+        return ShiftPlan(tuple(-x for x in self.g), -self.c)
+
+    def parts(self) -> tuple:
+        """(g_div, g_mul, h_div, h_mul), each net exponent on one side."""
+        return tuple(tuple(max(sign * x, 0) for x in v)
+                     for v in (self.g, self.shifts) for sign in (1, -1))
 
     def exponent_vector(self) -> tuple:
-        return self.g_div + self.g_mul + self.h_div + self.h_mul
+        return sum(self.parts(), ())
 
 
 def parse_plan(text: str) -> ShiftPlan:
     """Parse one line per column: four integers g_div g_mul h_div h_mul,
-    none above MAX_EXPONENT."""
+    none above MAX_EXPONENT, meeting C_SR."""
     rows = []
     for ln, line in enumerate(text.strip().splitlines(), 1):
         parts = line.split()
@@ -88,36 +114,16 @@ def parse_plan(text: str) -> ShiftPlan:
         rows.append(row)
     if not rows:
         raise ValueError("empty plan")
-    g_div, g_mul, h_div, h_mul = (tuple(c) for c in zip(*rows))
-    return ShiftPlan(g_div, g_mul, h_div, h_mul)
+    return ShiftPlan.from_parts(*zip(*rows))
 
 
 def format_plan(plan: ShiftPlan) -> str:
-    return "\n".join(
-        f"{gd} {gm} {hd} {hm}"
-        for gd, gm, hd, hm in zip(plan.g_div, plan.g_mul, plan.h_div, plan.h_mul))
-
-
-def csr_constant(plan: ShiftPlan) -> int:
-    """The shared per-column exponent sum, or an error naming the columns
-    where it fails to be constant."""
-    vals = [gd + hd - gm - hm
-            for gd, gm, hd, hm in zip(plan.g_div, plan.g_mul,
-                                      plan.h_div, plan.h_mul)]
-    bad = [j for j, v in enumerate(vals, 1) if v != vals[0]]
-    if bad:
-        raise ValueError(
-            f"C_SR violated: columns {bad} differ from column 1 "
-            f"(per-column values {vals})")
-    return vals[0]
+    return "\n".join(" ".join(map(str, col)) for col in zip(*plan.parts()))
 
 
 def make_type1_plan(n: int, l: int, g_cols, h_cols) -> ShiftPlan:
-    """Divisions only, split over a partition of the columns.
-
-    Columns in g_cols get g_div = l, the rest get h_div = l.  The two sets
-    must be disjoint and cover 1..n.
-    """
+    """Columns in g_cols divided by D^l on G, the rest on H (c = l); the
+    two sets must partition 1..n."""
     if l < 0:
         raise ValueError(f"negative exponent {l}")
     g_set, h_set = set(g_cols), set(h_cols)
@@ -125,34 +131,30 @@ def make_type1_plan(n: int, l: int, g_cols, h_cols) -> ShiftPlan:
         raise ValueError(
             f"column sets must partition 1..{n}: "
             f"got {sorted(g_set)} and {sorted(h_set)}")
-    zeros = (0,) * n
-    g_div = tuple(l if j in g_set else 0 for j in range(1, n + 1))
-    h_div = tuple(l if j in h_set else 0 for j in range(1, n + 1))
-    return ShiftPlan(g_div, zeros, h_div, zeros)
+    return ShiftPlan(tuple(l if j in g_set else 0 for j in range(1, n + 1)), l)
 
 
 def make_type2_plan(n: int, shifts) -> ShiftPlan:
-    """Matched divide-on-G, multiply-on-H with the same exponent per column."""
-    shifts = tuple(shifts)
-    if len(shifts) != n:
-        raise ValueError(f"expected {n} shifts, got {len(shifts)}")
-    zeros = (0,) * n
-    return ShiftPlan(shifts, zeros, zeros, shifts)
+    """Matched divide-on-G, multiply-on-H with the same exponent per column,
+    so c = 0."""
+    plan = ShiftPlan(shifts, 0)
+    if plan.n != n or min(plan.g) < 0:
+        raise ValueError(f"expected {n} nonnegative shifts, got {plan.g}")
+    return plan
 
 
-def _scale_columns(M: PolyMatrix, div, mul, name: str) -> PolyMatrix:
-    for j in range(1, M.cols + 1):
-        need = div[j - 1]
-        if need == 0:
-            continue
-        have = column_delay(M, j)
-        if have is not None and have + mul[j - 1] < need:
-            raise ValueError(
-                f"illegal division: {name} column {j} needs delay {need}, "
-                f"has {have + mul[j - 1]} after multiplying by D^{mul[j - 1]}")
+def _scale_columns(M: PolyMatrix, exps, name: str) -> PolyMatrix:
+    """Column j of M divided by D^exps[j], multiplied when negative."""
+    for j, x in enumerate(exps, 1):
+        if x > 0:
+            have = column_delay(M, j)
+            if have is not None and have < x:
+                raise ValueError(f"illegal division: {name} column {j} "
+                                 f"needs delay {x}, has {have}")
     ents = []
     for i in range(1, M.rows + 1):
-        ents.extend(e << mul[j] >> div[j] for j, e in enumerate(M.row(i)))
+        ents.extend(e >> x if x >= 0 else e << -x
+                    for x, e in zip(exps, M.row(i)))
     return PolyMatrix(M.rows, M.cols, tuple(ents))
 
 
@@ -160,17 +162,15 @@ def _scale_pair(pair: GHPair, plan: ShiftPlan):
     """The plan's scaled G and H, not yet checked as a pair."""
     if plan.n != pair.n:
         raise ValueError(f"plan has {plan.n} columns, pair has {pair.n}")
-    csr_constant(plan)
-    return (_scale_columns(pair.G, plan.g_div, plan.g_mul, "G"),
-            _scale_columns(pair.H, plan.h_div, plan.h_mul, "H"))
+    return (_scale_columns(pair.G, plan.g, "G"),
+            _scale_columns(pair.H, plan.shifts, "H"))
 
 
 def apply_plan(pair: GHPair, plan: ShiftPlan) -> GHPair:
     """Scale each column of G and H by its net D-power.
 
-    The plan is rejected before any matrix is touched unless its combined
-    exponent is constant across columns.  Per column the multiply happens
-    first, so a divide is legal whenever the multiplied column supports it.
+    A division by D^x is legal when the column's delay is at least x; an
+    all-zero column takes any.
     """
     return GHPair(*_scale_pair(pair, plan))
 
@@ -245,46 +245,29 @@ def simultaneous_reduce(pair: GHPair, plan: ShiftPlan) -> ReductionReport:
 def compose_plans(p1: ShiftPlan, p2: ShiftPlan) -> ShiftPlan:
     if p1.n != p2.n:
         raise ValueError(f"plan sizes differ: {p1.n} and {p2.n}")
-    add = lambda a, b: tuple(x + y for x, y in zip(a, b))
-    return ShiftPlan(add(p1.g_div, p2.g_div), add(p1.g_mul, p2.g_mul),
-                     add(p1.h_div, p2.h_div), add(p1.h_mul, p2.h_mul))
+    return ShiftPlan(tuple(x + y for x, y in zip(p1.g, p2.g)), p1.c + p2.c)
 
 
 def search_reduction_plan(pair: GHPair, max_exponent: int = 4) -> ReductionReport:
-    """The best single-step type-1 or type-2 plan up to the exponent bound.
+    """The identity or type-2 plan with the smallest resulting constraint
+    length, ties broken by the lexicographically smallest g.
 
-    Only plans whose divisions the column delays allow are built: column j
-    takes a G-division by D^l only if its delay in G is at least l, an
-    H-division likewise in H, and an all-zero column takes any.  Every
-    such plan is reduced in full, so the search is exact over the legal
-    plans.  Returns the report of the plan with the smallest resulting
-    constraint length, ties broken by the lexicographically smallest
-    exponent vector.  A nominal plan space, (e+1)^n + e*2^n plans for
-    bound e, above MAX_PLANS is refused before any plan is built.
+    g_j runs up to column j's delay in G capped at the bound (the bound for
+    an all-zero column), so every plan built is legal and is reduced in
+    full; more than MAX_PLANS of them are refused before any is built.  No
+    type-1 plan does better: dividing G columns S by D^l leaves the G' of
+    the type-2 plan shifting S by l.
     """
+    if max_exponent < 0:
+        raise ValueError(f"negative max exponent {max_exponent}")
     n = pair.n
-    size = (max_exponent + 1) ** n + max_exponent * 2 ** n
+    delays = (column_delay(pair.G, j) for j in range(1, n + 1))
+    caps = [max_exponent if d is None else min(d, max_exponent) for d in delays]
+    size = math.prod(cap + 1 for cap in caps)
     if size > MAX_PLANS:
         raise ValueError(
             f"plan space too large: {size} plans for n={n} and max exponent "
             f"{max_exponent} exceeds {MAX_PLANS}")
-
-    def caps(M):
-        delays = (column_delay(M, j) for j in range(1, n + 1))
-        return [max_exponent if d is None else min(d, max_exponent)
-                for d in delays]
-
-    g_cap, h_cap = caps(pair.G), caps(pair.H)
-    candidates = [ShiftPlan.identity(n)]
-    for l in range(1, max_exponent + 1):
-        sides = ([s for s, cap in ((0, hc), (1, gc)) if cap >= l]
-                 for gc, hc in zip(g_cap, h_cap))
-        for bits in itertools.product(*sides):
-            g_cols = [j for j in range(1, n + 1) if bits[j - 1]]
-            h_cols = [j for j in range(1, n + 1) if not bits[j - 1]]
-            candidates.append(make_type1_plan(n, l, g_cols, h_cols))
-    for shifts in itertools.product(*(range(cap + 1) for cap in g_cap)):
-        if any(shifts):
-            candidates.append(make_type2_plan(n, shifts))
-    return min((simultaneous_reduce(pair, plan) for plan in candidates),
-               key=lambda r: (r.nu_after, r.plan.exponent_vector()))
+    shifts = itertools.product(*(range(cap + 1) for cap in caps))
+    reports = (simultaneous_reduce(pair, make_type2_plan(n, g)) for g in shifts)
+    return min(reports, key=lambda r: (r.nu_after, r.plan.g))

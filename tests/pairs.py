@@ -64,6 +64,15 @@ CHAIN_T2 = make_type2_plan(3, (0, 0, 2))
 # different next states.
 TIE_PAIR = pair("D,D+D^2", "1+D,1")
 
+# Plan-space showcases: every column of DELAY40_PAIR has delay 40, so the
+# search at bound 40 has 41^3 legal plans; R8 (G and H as text) is rate
+# 1/8 with column delays 0-3, a small box inside a huge nominal space.
+DELAY40_PAIR = pair("D^40,D^40,D^40", "1,1,0;0,1,1")
+R8 = ("1+D,D,D^2,1,D^3,D+D^2,D^2,1",
+      "1,0,0,1+D,0,0,0,0;0,1,0,D,0,0,0,0;0,0,1,D^2,0,0,0,0;"
+      "0,0,0,D^3,1,0,0,0;0,0,0,D+D^2,0,1,0,0;0,0,0,D^2,0,0,1,0;"
+      "0,0,0,1,0,0,0,1")
+
 ALL_PAIRS = (
     pair("1+D+D^2,1,D^3+D^4", "D^2,D^2,1;1,1+D+D^2,0"),
     MAIN_PAIR,

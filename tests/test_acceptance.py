@@ -138,14 +138,13 @@ def test_criterion_5_plan_property_suite():
 
     rejected = 0
     while rejected < 100:
-        plan = ShiftPlan(*(tuple(rng.randrange(4) for _ in range(3))
-                           for _ in range(4)))
-        net = {plan.g_div[j] + plan.h_div[j] - plan.g_mul[j] - plan.h_mul[j]
-               for j in range(3)}
+        g_div, g_mul, h_div, h_mul = vecs = [
+            tuple(rng.randrange(4) for _ in range(3)) for _ in range(4)]
+        net = {g_div[j] + h_div[j] - g_mul[j] - h_mul[j] for j in range(3)}
         if len(net) == 1:
             continue
         with pytest.raises(ValueError, match="C_SR violated"):
-            apply_plan(MAIN_PAIR, plan)
+            ShiftPlan.from_parts(*vecs)
         rejected += 1
     print(f"criterion 5: PASS  {legal} legal plans keep G'*H'^T = 0, "
           f"{rejected} non-C_SR plans rejected")

@@ -6,6 +6,8 @@ import pytest
 
 from shifttrellis.cli import main
 
+import pairs
+
 G_MAIN = "D+D^2,D^2,1+D"
 H_MAIN = "1,0,D;D,1+D,0"
 G_CHAIN = "1+D+D^2,D,D^4+D^5"
@@ -121,8 +123,8 @@ def test_transform_rejects_bad_plan(files, capsys):
     bad.write_text("1 0 0 0\n0 0 0 0\n0 0 0 0\n")
     rc, out, err = run(capsys, "transform", files["g"], files["h"],
                        "--plan", str(bad))
-    assert rc == 1
-    assert "C_SR violated" in err
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {bad}: C_SR violated: columns [2, 3]")
 
 
 def test_reduce(files, capsys):
@@ -291,11 +293,20 @@ def test_plan_exponent_cap_exit_code(files, capsys):
 
 
 def test_plan_space_cap_exit_code(files, capsys):
-    rc, out, err = run(capsys, "suggest", files["g"], files["h"],
+    g, h = files["tmp"] / "G40.txt", files["tmp"] / "H40.txt"
+    g.write_text("D^40,D^40,D^40\n")
+    h.write_text("1,1,0;0,1,1\n")
+    rc, out, err = run(capsys, "suggest", str(g), str(h),
                        "--max-exponent", "40")
     assert (rc, out) == (1, "")
-    assert err == ("error: plan space too large: 69241 plans for n=3 and "
+    assert err == ("error: plan space too large: 68921 plans for n=3 and "
                    "max exponent 40 exceeds 65536\n")
+    # n=8 is nominally 5^8 + 4 * 2^8 plans at bound 4; its delays leave 144
+    g.write_text(pairs.R8[0] + "\n")
+    h.write_text(pairs.R8[1] + "\n")
+    rc, out, err = run(capsys, "suggest", str(g), str(h))
+    assert (rc, err) == (0, "")
+    assert "nu: 3 -> 1 (dual 11 -> 6)" in out.splitlines()
 
 
 def test_path_cap_exit_code(files, capsys):

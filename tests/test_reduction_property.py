@@ -7,9 +7,9 @@ with one type-2 step, the paper's two reductions, drawn within the column
 delays so every division is legal.  Each reduction must pass verify, and
 both reduced trellises must list exactly what brute force lists for the
 reduced matrices and masks over the verify window; the shifted codewords
-of the original G must be among the reduced code paths.  Plans whose
-combined exponent differs between columns must be refused as C_SR
-violations on every entry point.
+of the original G must be among the reduced code paths.  Four-vector
+plans whose combined exponent differs between columns must be refused as
+C_SR violations wherever a plan is built from them.
 """
 
 import functools
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from shifttrellis import (
     BlockSequence,
     ShiftPlan,
-    apply_plan,
     brute_codewords,
     brute_errors,
     column_delay,
@@ -30,8 +29,8 @@ from shifttrellis import (
     make_type1_plan,
     make_type2_plan,
     memory,
+    parse_plan,
     shift_received,
-    simultaneous_reduce,
     verify_simultaneous_reduction,
 )
 from shifttrellis.oracle import MAX_HORIZON, MAX_INFO_BITS
@@ -133,18 +132,16 @@ def test_random_reductions_verify_and_match_the_oracle(data):
 @SETTINGS
 @given(st.data())
 def test_plans_breaking_csr_are_rejected(data):
-    pair = data.draw(rate1_pairs())
-    n = pair.n
+    n = data.draw(st.integers(2, 5))
     exps = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     g_div, g_mul, h_div, h_mul = (data.draw(exps) for _ in range(4))
     net = {gd + hd - gm - hm
            for gd, gm, hd, hm in zip(g_div, g_mul, h_div, h_mul)}
     if len(net) == 1:
         g_div[data.draw(st.integers(0, n - 1))] += 1
-    plan = ShiftPlan(tuple(g_div), tuple(g_mul), tuple(h_div), tuple(h_mul))
-    z = BlockSequence.zero(n, 2)
-    for run in (lambda: apply_plan(pair, plan),
-                lambda: simultaneous_reduce(pair, plan),
-                lambda: verify_simultaneous_reduction(pair, plan, z, 2)):
+    text = "\n".join(f"{gd} {gm} {hd} {hm}"
+                     for gd, gm, hd, hm in zip(g_div, g_mul, h_div, h_mul))
+    for run in (lambda: ShiftPlan.from_parts(g_div, g_mul, h_div, h_mul),
+                lambda: parse_plan(text)):
         with pytest.raises(ValueError, match="C_SR violated"):
             run()

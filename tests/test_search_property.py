@@ -3,10 +3,12 @@
 The exhaustive search below builds every type-1 and type-2 plan up to the
 exponent bound, skips the ones whose divisions are illegal, and keeps the
 minimum of (nu_after, exponent vector).  The library search builds only
-the legal plans, so both must return the same report.  Pairs are rate-1/n
-codes like the benchmark's (G = (g_j D^a_j), each row of H pairing a
-pivot column with one other column, rows delayed by D^b), sometimes with
-G and H swapped, with all-zero columns and with delays on both sides.
+the legal identity and type-2 plans, so equal reports show both that it
+misses no legal plan of those kinds and that no type-1 plan ever wins.
+Pairs are rate-1/n codes like the benchmark's (G = (g_j D^a_j), each row
+of H pairing a pivot column with one other column, rows delayed by D^b),
+sometimes with G and H swapped, with all-zero columns and with delays on
+both sides.
 """
 
 import itertools
@@ -19,7 +21,6 @@ import shifttrellis.transform as transform
 from shifttrellis import (
     GHPair,
     PolyMatrix,
-    ShiftPlan,
     make_type1_plan,
     make_type2_plan,
     search_reduction_plan,
@@ -33,24 +34,24 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 def exhaustive_search(pair, max_exponent):
-    """The report the full enumeration picks, and how many plans were legal."""
+    """The report the full enumeration picks, and how many identity and
+    type-2 plans were legal."""
     n = pair.n
-    candidates = [ShiftPlan.identity(n)]
+    type1 = []
     for l in range(1, max_exponent + 1):
         for bits in itertools.product((0, 1), repeat=n):
             g_cols = [j for j in range(1, n + 1) if bits[j - 1]]
             h_cols = [j for j in range(1, n + 1) if not bits[j - 1]]
-            candidates.append(make_type1_plan(n, l, g_cols, h_cols))
-    for shifts in itertools.product(range(max_exponent + 1), repeat=n):
-        if any(shifts):
-            candidates.append(make_type2_plan(n, shifts))
+            type1.append(make_type1_plan(n, l, g_cols, h_cols))
+    type2 = [make_type2_plan(n, shifts) for shifts in
+             itertools.product(range(max_exponent + 1), repeat=n)]
     best, legal = None, 0
-    for plan in candidates:
+    for plan in type1 + type2:
         try:
             report = simultaneous_reduce(pair, plan)
         except ValueError:
             continue
-        legal += 1
+        legal += plan.c == 0    # the identity and type-2 plans
         key = (report.nu_after, plan.exponent_vector())
         if best is None or key < best[0]:
             best = (key, report)
@@ -109,9 +110,6 @@ def counted_search(monkeypatch, pair, max_exponent):
 @SETTINGS
 @given(rate1_pairs(), st.integers(0, 4))
 def test_search_equals_exhaustion(pair, max_exponent):
-    # Only identity and type-2 plans ever win (a type-1 plan ties with the
-    # type-2 plan shifting its G columns, which has the smaller vector), so
-    # the count of reduced plans is what pins the type-1 enumeration.
     expected, legal = exhaustive_search(pair, max_exponent)
     with pytest.MonkeyPatch.context() as mp:
         report, tried, returned = counted_search(mp, pair, max_exponent)

@@ -10,7 +10,6 @@ from shifttrellis import (
     format_blocks,
     make_type1_plan,
     make_type2_plan,
-    net_shifts,
     parse_blocks,
     parse_matrix,
     reconstruct_code_paths,
@@ -47,9 +46,9 @@ def random_word(rng, width, length):
 
 
 def test_net_shifts():
-    assert net_shifts(MAIN_PLAN) == (0, 0, 1)
-    assert net_shifts(T2_PLAN) == (0, 0, -1)
-    assert net_shifts(ShiftPlan.identity(3)) == (0, 0, 0)
+    assert MAIN_PLAN.shifts == (0, 0, 1)
+    assert T2_PLAN.shifts == (0, 0, -1)
+    assert ShiftPlan.identity(3).shifts == (0, 0, 0)
 
 
 def test_syndrome():
@@ -93,7 +92,7 @@ def test_shift_round_trip():
     for _ in range(100):
         plan = random_csr_plan(rng, 3)
         n_real = rng.randrange(2, 6)
-        need = n_real + max(abs(s) for s in net_shifts(plan)) + rng.randrange(3)
+        need = n_real + max(abs(s) for s in plan.shifts) + rng.randrange(3)
         z = random_word(rng, 3, need)
         shifted = shift_received(z, plan, n_real)
         assert shift_received(shifted, plan.inverted(), n_real) == z

@@ -8,12 +8,12 @@ from shifttrellis import (
     ShiftPlan,
     apply_plan,
     compose_plans,
-    csr_constant,
     format_plan,
     make_type1_plan,
     make_type2_plan,
     mat_mul_transpose,
     overall_constraint_length,
+    parse_matrix,
     parse_plan,
     reduce_rows_equivalent,
     search_reduction_plan,
@@ -45,8 +45,9 @@ from pairs import (
 )
 
 
-def random_csr_plan(rng, n, bound=3):
-    """Rejection-sample a plan whose net exponent is column independent."""
+def random_csr_parts(rng, n, bound=3):
+    """Rejection-sample four exponent vectors whose net exponent is column
+    independent."""
     while True:
         l = rng.randrange(-bound, bound + 1)
         cols = []
@@ -60,15 +61,24 @@ def random_csr_plan(rng, n, bound=3):
             else:
                 break
         if len(cols) == n:
-            return ShiftPlan(*map(tuple, zip(*cols)))
+            return tuple(map(tuple, zip(*cols)))
+
+
+def random_csr_plan(rng, n, bound=3):
+    return ShiftPlan.from_parts(*random_csr_parts(rng, n, bound))
 
 
 def test_plan_validation():
     with pytest.raises(ValueError, match="negative"):
-        ShiftPlan((0, -1), (0, 0), (0, 0), (0, 0))
+        ShiftPlan.from_parts((0, -1), (0, 0), (0, 0), (0, 0))
     with pytest.raises(ValueError, match="length"):
-        ShiftPlan((0,), (0, 0), (0, 0), (0, 0))
+        ShiftPlan.from_parts((0,), (0, 0), (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="at least one column"):
+        ShiftPlan((), 0)
     assert ShiftPlan.identity(3).n == 3
+    # same-side multiply and divide collapse to the net exponent
+    assert ShiftPlan.from_parts((2, 0), (1, 0), (0, 1), (0, 0)) \
+        == ShiftPlan((1, 0), 1)
 
 
 def test_plan_parse_format():
@@ -79,10 +89,12 @@ def test_plan_parse_format():
         parse_plan("1 0 0 0\n1 0 0")
     with pytest.raises(ValueError):
         parse_plan("")
+    with pytest.raises(ValueError, match=r"C_SR violated: columns \[2\]"):
+        parse_plan("1 0 0 0\n0 0 0 0")
 
 
 def test_plan_parse_exponent_cap():
-    assert parse_plan(f"0 {MAX_EXPONENT} 0 0").g_mul == (MAX_EXPONENT,)
+    assert parse_plan(f"0 {MAX_EXPONENT} 0 0").parts()[1] == (MAX_EXPONENT,)
     with pytest.raises(ValueError, match=f"plan line 2: exponent "
                                          f"{MAX_EXPONENT + 1} exceeds cap"):
         parse_plan(f"0 0 0 0\n0 0 {MAX_EXPONENT + 1} 0")
@@ -90,24 +102,25 @@ def test_plan_parse_exponent_cap():
 
 def test_plan_inverted():
     inv = MAIN_PLAN.inverted()
-    assert inv.g_div == MAIN_PLAN.g_mul and inv.g_mul == MAIN_PLAN.g_div
-    assert inv.h_div == MAIN_PLAN.h_mul and inv.h_mul == MAIN_PLAN.h_div
+    g_div, g_mul, h_div, h_mul = MAIN_PLAN.parts()
+    assert inv.parts() == (g_mul, g_div, h_mul, h_div)
+    assert inv == ShiftPlan((-1, -1, 0), -1)
     assert inv.inverted() == MAIN_PLAN
 
 
 def test_csr_constant():
-    assert csr_constant(MAIN_PLAN) == 1
-    assert csr_constant(T2_PLAN) == 0
-    assert csr_constant(ShiftPlan.identity(4)) == 0
+    assert MAIN_PLAN.c == 1
+    assert T2_PLAN.c == 0
+    assert ShiftPlan.identity(4).c == 0
+    assert ShiftPlan.from_parts(*MAIN_PLAN.parts()) == MAIN_PLAN
     with pytest.raises(ValueError, match=r"columns \[2, 3\]"):
-        csr_constant(ShiftPlan((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)))
+        ShiftPlan.from_parts((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
 def test_make_type1_plan():
     plan = make_type1_plan(3, 1, (1, 2), (3,))
-    assert plan.g_div == (1, 1, 0) and plan.h_div == (0, 0, 1)
-    assert plan.g_mul == (0, 0, 0) and plan.h_mul == (0, 0, 0)
-    assert csr_constant(plan) == 1
+    assert plan == ShiftPlan((1, 1, 0), 1) and plan.shifts == (0, 0, 1)
+    assert plan.parts() == ((1, 1, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0))
     with pytest.raises(ValueError, match="partition"):
         make_type1_plan(3, 1, (1, 2), (2, 3))
     with pytest.raises(ValueError, match="partition"):
@@ -118,11 +131,12 @@ def test_make_type1_plan():
 
 def test_make_type2_plan():
     plan = make_type2_plan(3, (0, 0, 2))
-    assert plan.g_div == (0, 0, 2) and plan.h_mul == (0, 0, 2)
-    assert plan.g_mul == (0, 0, 0) and plan.h_div == (0, 0, 0)
-    assert csr_constant(plan) == 0
+    assert plan == ShiftPlan((0, 0, 2), 0) and plan.shifts == (0, 0, -2)
+    assert plan.parts() == ((0, 0, 2), (0, 0, 0), (0, 0, 0), (0, 0, 2))
     with pytest.raises(ValueError, match="expected 3"):
         make_type2_plan(3, (1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_type2_plan(3, (0, -1, 0))
 
 
 class Index:
@@ -138,28 +152,34 @@ class Index:
 def test_plan_refuses_fractional_exponents():
     msg = "g_div has a non-integer exponent: (1.9, 0, 0)"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        ShiftPlan((1.9, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
+        ShiftPlan.from_parts((1.9, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
     msg = "h_div has a non-integer exponent: (0, 0, 0.5)"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        ShiftPlan((1, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
+        ShiftPlan.from_parts((1, 0, 0), (0, 0, 0), (0, 0, 0.5), (0, 0, 0))
     with pytest.raises(ValueError, match="non-integer"):
-        ShiftPlan((1.0, 0), (0, 0), (0, 0), (0, 0))
-    plan = ShiftPlan((Index(1), 0), (0, 0), (0, Index(1)), (0, 0))
+        ShiftPlan.from_parts((1.0, 0), (0, 0), (0, 0), (0, 0))
+    msg = "g has a non-integer exponent: (1.9, 0)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        ShiftPlan((1.9, 0), 0)
+    msg = "c has a non-integer exponent: (0.5,)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        ShiftPlan((1, 0), 0.5)
+    plan = ShiftPlan.from_parts((Index(1), 0), (0, 0), (0, Index(1)), (0, 0))
     assert plan.exponent_vector() == (1, 0, 0, 0, 0, 1, 0, 0)
-    assert all(type(x) is int for x in plan.exponent_vector())
+    assert all(type(x) is int for x in plan.exponent_vector() + (plan.c,))
 
 
 def test_make_type1_plan_refuses_fractional_exponent():
-    msg = "g_div has a non-integer exponent: (1.5, 0, 0)"
+    msg = "g has a non-integer exponent: (1.5, 0, 0)"
     with pytest.raises(ValueError, match=re.escape(msg)):
         make_type1_plan(3, 1.5, (1,), (2, 3))
-    msg = "h_div has a non-integer exponent: (1.5, 1.5, 1.5)"
+    msg = "c has a non-integer exponent: (1.5,)"
     with pytest.raises(ValueError, match=re.escape(msg)):
         make_type1_plan(3, 1.5, (), (1, 2, 3))
 
 
 def test_make_type2_plan_refuses_fractional_shift():
-    msg = "g_div has a non-integer exponent: (1.7, 0, 0)"
+    msg = "g has a non-integer exponent: (1.7, 0, 0)"
     with pytest.raises(ValueError, match=re.escape(msg)):
         make_type2_plan(3, (1.7, 0, 0))
     assert make_type2_plan(3, (0, 0, Index(1))) == T2_PLAN
@@ -185,14 +205,21 @@ def test_apply_plan_identity():
 def test_apply_plan_illegal_division():
     # column 3 of the generator has no D factor to strip
     bad = make_type2_plan(3, (0, 0, 1))
-    with pytest.raises(ValueError, match="G column 3"):
+    with pytest.raises(ValueError, match="G column 3 needs delay 1, has 0"):
         apply_plan(MAIN_PAIR, bad)
+    # only the net exponent counts: dividing by D after multiplying by D
+    # leaves the column as it was
+    undone = ShiftPlan.from_parts((0, 0, 1), (0, 0, 1), (0, 0, 0), (0, 0, 0))
+    assert apply_plan(MAIN_PAIR, undone) == MAIN_PAIR
 
 
 def test_apply_plan_checks_csr_first():
-    broken = ShiftPlan((0, 0, 9), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    # C_SR is checked when the plan is built, so a plan that also divides
+    # illegally never reaches apply_plan
     with pytest.raises(ValueError, match="C_SR violated"):
-        apply_plan(MAIN_PAIR, broken)
+        ShiftPlan.from_parts((0, 0, 9), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="C_SR violated"):
+        parse_plan("0 0 0 0\n0 0 0 0\n9 0 0 0")
 
 
 def test_apply_plan_size_mismatch():
@@ -255,10 +282,8 @@ def test_identity_reduce_report():
 
 def test_compose_plans():
     comp = compose_plans(CHAIN_T1, CHAIN_T2)
-    assert comp.g_div == (0, 1, 3)
-    assert comp.g_mul == (0, 0, 0)
-    assert comp.h_div == (1, 0, 0)
-    assert comp.h_mul == (0, 0, 2)
+    assert comp == ShiftPlan((0, 1, 3), 1)
+    assert comp.parts() == ((0, 1, 3), (0, 0, 0), (1, 0, 0), (0, 0, 2))
     assert compose_plans(CHAIN_T2, CHAIN_T1) == comp
     ident = ShiftPlan.identity(3)
     assert compose_plans(comp, ident) == comp
@@ -280,22 +305,34 @@ def test_search_reduction_plan():
     rep2 = search_reduction_plan(GHPair(G_MAIN_RED, H_MAIN_RED))
     assert not rep2.reduced
     assert rep2.plan == ShiftPlan.identity(3)
+    with pytest.raises(ValueError, match="negative max exponent -1"):
+        search_reduction_plan(MAIN_PAIR, -1)
 
 
 def test_search_plan_space_cap(monkeypatch):
-    # 41^3 + 40 * 2^3 = 69241 plans: refused before any plan is built
+    # every column has delay 40, so 41^3 = 68921 plans are legal: refused
+    # before any plan is built
     import shifttrellis.transform as transform
 
     def no_plans(*args):
         raise AssertionError("a plan was built")
 
-    monkeypatch.setattr(transform.ShiftPlan, "identity", no_plans)
-    monkeypatch.setattr(transform, "make_type1_plan", no_plans)
-    monkeypatch.setattr(transform, "make_type2_plan", no_plans)
-    msg = (f"plan space too large: 69241 plans for n=3 and max exponent 40 "
+    monkeypatch.setattr(transform.ShiftPlan, "__post_init__", no_plans)
+    msg = (f"plan space too large: 68921 plans for n=3 and max exponent 40 "
            f"exceeds {MAX_PLANS}")
     with pytest.raises(ValueError, match=re.escape(msg)):
-        search_reduction_plan(MAIN_PAIR, 40)
+        search_reduction_plan(pairs.DELAY40_PAIR, 40)
+
+
+def test_search_counts_only_legal_plans():
+    # n=8 at bound 4 is 5^8 + 4 * 2^8 plans nominally, over MAX_PLANS; the
+    # column delays of G leave 2 * 3 * 4 * 2 * 3 = 144
+    pair = GHPair(*map(parse_matrix, pairs.R8))
+    rep = search_reduction_plan(pair, 4)
+    assert rep.plan == make_type2_plan(8, (0, 0, 1, 0, 2, 1, 1, 0))
+    assert (rep.nu_before, rep.nu_after) == (3, 1)
+    assert search_reduction_plan(MAIN_PAIR, 40).plan == \
+        search_reduction_plan(MAIN_PAIR, 4).plan
 
 
 def test_random_csr_plans_preserve_product_zero():
@@ -332,13 +369,15 @@ def test_non_csr_plans_rejected():
     rejected = 0
     while rejected < 120:
         vecs = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(4)]
-        plan = ShiftPlan(*vecs)
-        net = [plan.g_div[j] + plan.h_div[j] - plan.g_mul[j] - plan.h_mul[j]
-               for j in range(3)]
+        g_div, g_mul, h_div, h_mul = vecs
+        net = [g_div[j] + h_div[j] - g_mul[j] - h_mul[j] for j in range(3)]
         if len(set(net)) == 1:
             continue
         with pytest.raises(ValueError, match="C_SR violated"):
-            apply_plan(MAIN_PAIR, plan)
+            ShiftPlan.from_parts(*vecs)
+        text = "\n".join(" ".join(map(str, col)) for col in zip(*vecs))
+        with pytest.raises(ValueError, match="C_SR violated"):
+            parse_plan(text)
         rejected += 1
 
 
@@ -362,8 +401,8 @@ def test_simultaneous_reduce_forms_the_product_once(monkeypatch):
 
 
 def test_broken_result_is_not_swallowed_by_search(monkeypatch):
-    # a failed final pair check is an internal fault, so the search, which
-    # skips plans that raise ValueError, must let it through
+    # a failed final pair check is an internal fault, so the search must
+    # let it through
     import shifttrellis.gf2poly as gf2poly
     monkeypatch.setattr(gf2poly, "full_row_rank", lambda M: False)
     with pytest.raises(RuntimeError,
