@@ -1,63 +1,137 @@
 """Time-indexed sequences of fixed-width bit blocks (y, e, z and syndromes).
 
-Blocks are tuples of 0/1 ints so that sequences hash, compare and sort
-lexicographically exactly as their printed form "001 000 011 010 000" reads.
+A sequence of L blocks of width w is stored as one int of w * L bits, read
+as its printed form "001 000 011 010 000" reads: the first block's first
+bit is the most significant.  Equality, hashing, xor and weight are then
+single int operations, and for sequences of one shape the int order is
+exactly the lexicographic order of the blocks as tuples of 0/1 ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 
-@dataclass(frozen=True)
+def pack_bits(bits) -> int:
+    """The int whose binary digits, most significant first, are bits."""
+    value = 0
+    for b in bits:
+        value = value << 1 | b
+    return value
+
+
+@total_ordering
+@dataclass(frozen=True, init=False, repr=False)
 class BlockSequence:
+    """BlockSequence(width, blocks) packs an iterable of width-bit blocks;
+    BlockSequence.packed(width, length, bits) wraps an int already packed.
+    Sequences of different shapes are never equal and do not order: <
+    between them raises ValueError, as ^ does."""
+
+    __slots__ = ("block_width", "length", "bits")
     block_width: int
-    blocks: tuple
+    length: int
+    bits: int
+
+    def __init__(self, block_width: int, blocks):
+        bits = length = 0
+        for blk in blocks:
+            blk = tuple(int(b) for b in blk)
+            if len(blk) != block_width or any(b not in (0, 1) for b in blk):
+                raise ValueError(f"block {blk} is not {block_width} bits")
+            bits = bits << block_width | pack_bits(blk)
+            length += 1
+        self._set(block_width, length, bits)
+
+    @classmethod
+    def packed(cls, block_width: int, length: int,
+               bits: int) -> "BlockSequence":
+        """The sequence of length blocks whose packed form is bits."""
+        seq = object.__new__(cls)
+        seq._set(block_width, length, bits)
+        return seq
+
+    def _set(self, block_width, length, bits):
+        object.__setattr__(self, "block_width", block_width)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(b) for b in blk) for blk in self.blocks)
-        for blk in blocks:
-            if len(blk) != self.block_width or any(b not in (0, 1) for b in blk):
-                raise ValueError(
-                    f"block {blk} is not {self.block_width} bits")
-        object.__setattr__(self, "blocks", blocks)
+        """Range check, run once per construction by both constructors
+        (perfbench counts constructions by wrapping it)."""
+        if (self.block_width < 0 or self.length < 0
+                or not 0 <= self.bits < 1 << self.block_width * self.length):
+            raise ValueError(
+                f"{self.bits} is not {self.length} blocks of "
+                f"{self.block_width} bits")
+
+    def __repr__(self):
+        return f"BlockSequence({self.block_width}, {self.blocks!r})"
+
+    def check_shape(self, other):
+        """Raise ValueError unless other has this width and length."""
+        if (self.block_width != other.block_width
+                or self.length != other.length):
+            raise ValueError(
+                f"shape mismatch: {self.length}x{self.block_width} vs "
+                f"{other.length}x{other.block_width}")
+
+    def __lt__(self, other):
+        if not isinstance(other, BlockSequence):
+            return NotImplemented
+        self.check_shape(other)
+        return self.bits < other.bits
 
     def __len__(self):
-        return len(self.blocks)
+        return self.length
 
-    def __getitem__(self, k):
-        return self.blocks[k]
+    def __getitem__(self, k: int) -> tuple:
+        """Block k (0-based, negative from the end) as a tuple of bits."""
+        i = k + self.length if k < 0 else k
+        if not 0 <= i < self.length:
+            raise IndexError(f"block {k} of {self.length}")
+        w = self.block_width
+        blk = self.bits >> (self.length - 1 - i) * w
+        return tuple(blk >> i & 1 for i in range(w - 1, -1, -1))
+
+    @property
+    def blocks(self) -> tuple:
+        """Every block as a tuple of bits, unpacked afresh on each read."""
+        return tuple(self[k] for k in range(self.length))
 
     def bit(self, t: int, j: int) -> int:
         """Component j of the block at time t (both 1-based)."""
-        return self.blocks[t - 1][j - 1]
+        w = self.block_width
+        if not (1 <= t <= self.length and 1 <= j <= w):
+            raise IndexError(
+                f"bit ({t}, {j}) outside {self.length}x{w} blocks")
+        return self.bits >> (self.length - t) * w + w - j & 1
 
     def __xor__(self, other):
         if not isinstance(other, BlockSequence):
             return NotImplemented
-        if self.block_width != other.block_width or len(self) != len(other):
-            raise ValueError(
-                f"shape mismatch: {len(self)}x{self.block_width} vs "
-                f"{len(other)}x{other.block_width}")
-        return BlockSequence(
-            self.block_width,
-            tuple(tuple(a ^ b for a, b in zip(x, y))
-                  for x, y in zip(self.blocks, other.blocks)))
+        self.check_shape(other)
+        return BlockSequence.packed(self.block_width, self.length,
+                                    self.bits ^ other.bits)
 
     @property
     def weight(self) -> int:
-        return sum(sum(blk) for blk in self.blocks)
+        return bin(self.bits).count("1")
 
     @classmethod
     def zero(cls, width: int, length: int) -> "BlockSequence":
-        return cls(width, ((0,) * width,) * length)
+        return cls.packed(width, length, 0)
 
     def padded(self, length: int) -> "BlockSequence":
         """Extend with zero blocks up to the given length."""
-        if length < len(self):
-            raise ValueError(f"cannot pad {len(self)} blocks down to {length}")
-        pad = ((0,) * self.block_width,) * (length - len(self))
-        return BlockSequence(self.block_width, self.blocks + pad)
+        if length < self.length:
+            raise ValueError(
+                f"cannot pad {self.length} blocks down to {length}")
+        return BlockSequence.packed(
+            self.block_width, length,
+            self.bits << (length - self.length) * self.block_width)
 
 
 def parse_blocks(text: str, width=None) -> BlockSequence:
@@ -65,17 +139,17 @@ def parse_blocks(text: str, width=None) -> BlockSequence:
     parts = text.split()
     if not parts:
         raise ValueError("empty block sequence")
-    blocks = []
     for k, part in enumerate(parts, 1):
         if any(c not in "01" for c in part):
             raise ValueError(f"block {k}: {part!r} is not a bit string")
-        blocks.append(tuple(int(c) for c in part))
-    w = width if width is not None else len(blocks[0])
-    for k, blk in enumerate(blocks, 1):
-        if len(blk) != w:
-            raise ValueError(f"block {k}: expected width {w}, got {len(blk)}")
-    return BlockSequence(w, tuple(blocks))
+    w = width if width is not None else len(parts[0])
+    for k, part in enumerate(parts, 1):
+        if len(part) != w:
+            raise ValueError(f"block {k}: expected width {w}, got {len(part)}")
+    return BlockSequence.packed(w, len(parts), int("".join(parts), 2))
 
 
 def format_blocks(seq: BlockSequence) -> str:
-    return " ".join("".join(str(b) for b in blk) for blk in seq.blocks)
+    w, total = seq.block_width, seq.block_width * seq.length
+    text = format(seq.bits, f"0{total}b") if total else ""
+    return " ".join([text[k * w:k * w + w] for k in range(seq.length)])

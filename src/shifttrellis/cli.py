@@ -295,7 +295,7 @@ def cmd_oracle(args):
 
     lines, ok = [], True
     for label, found, truth in checks():
-        diff = sorted(set(found) ^ set(truth), key=lambda s: s.blocks)
+        diff = sorted(set(found) ^ set(truth))
         ok = ok and not diff
         lines.append(f"{label}: MISMATCH" if diff
                      else f"{label}: OK ({len(truth)} paths)")

@@ -10,6 +10,7 @@ coding literature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 Poly = int
 
@@ -290,3 +291,8 @@ class GHPair:
     @property
     def n(self) -> int:
         return self.G.cols
+
+    @cached_property
+    def nu(self) -> tuple:
+        """(nu(G), nu(H)), computed once per pair."""
+        return tuple(map(overall_constraint_length, (self.G, self.H)))

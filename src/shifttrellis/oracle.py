@@ -47,7 +47,7 @@ def brute_codewords(G: PolyMatrix, n_real: int):
         out.add(BlockSequence(
             G.cols,
             tuple(tuple(y >> t & 1 for y in ys) for t in range(n_real))))
-    return sorted(out, key=lambda s: s.blocks)
+    return sorted(out)
 
 
 def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
@@ -129,7 +129,7 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
         for (t, j), k in index.items():
             bits[t - 1][j - 1] = val[k]
         out.add(BlockSequence(n, tuple(tuple(r) for r in bits)))
-    return sorted(out, key=lambda s: s.blocks)
+    return sorted(out)
 
 
 def random_feasible_syndrome(H: PolyMatrix, n_real: int, rng) -> BlockSequence:
@@ -151,7 +151,7 @@ def assert_equal_path_sets(a, b, label="path sets"):
         return
     lines = [f"{label} differ"]
     lines.extend(f"  only in first: {format_blocks(s)}"
-                 for s in sorted(sa - sb, key=lambda s: s.blocks))
+                 for s in sorted(sa - sb))
     lines.extend(f"  only in second: {format_blocks(s)}"
-                 for s in sorted(sb - sa, key=lambda s: s.blocks))
+                 for s in sorted(sb - sa))
     raise AssertionError("\n".join(lines))

@@ -20,7 +20,6 @@ from .gf2poly import (
     degree,
     exponents,
     memory,
-    overall_constraint_length,
 )
 from .transform import ReductionReport, ShiftPlan, simultaneous_reduce
 from .trellis import build_code_trellis, build_error_trellis, enumerate_paths
@@ -100,9 +99,13 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
 
 
 def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
-    """Blockwise xor of the shifted received data onto every error path."""
-    return sorted({z_shifted ^ e for e in error_paths},
-                  key=lambda s: s.blocks)
+    """Blockwise xor of the shifted received data onto every error path,
+    sorted, each distinct sequence once."""
+    z = z_shifted.bits
+    for e in error_paths:
+        z_shifted.check_shape(e)
+    return [BlockSequence.packed(z_shifted.block_width, len(z_shifted), bits)
+            for bits in sorted({z ^ e.bits for e in error_paths})]
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,9 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         code_paths=tuple(code_paths),
         error_paths=tuple(err_paths),
         reconstructed=tuple(recon),
-        code_states_before=1 << overall_constraint_length(pair.G),
-        code_states_after=1 << overall_constraint_length(g_fin),
-        error_states_before=1 << overall_constraint_length(pair.H),
-        error_states_after=1 << overall_constraint_length(h_fin),
+        code_states_before=1 << red.nu_before,
+        code_states_after=1 << red.nu_after,
+        error_states_before=1 << red.nu_before_dual,
+        error_states_after=1 << red.nu_after_dual,
         passed=c_set == y_set,
-        mismatch=tuple(sorted(c_set ^ y_set, key=lambda s: s.blocks)))
+        mismatch=tuple(sorted(c_set ^ y_set)))

@@ -22,7 +22,6 @@ from .gf2poly import (
     PolyMatrix,
     column_delay,
     divide_by_power,
-    overall_constraint_length,
     reciprocal_dual,
     row_delay,
 )
@@ -220,16 +219,13 @@ def simultaneous_reduce(pair: GHPair, plan: ShiftPlan) -> ReductionReport:
     is a fatal internal error (RuntimeError) rather than bad input.
     """
     g_scaled, h_scaled = _scale_pair(pair, plan)
-    nu_b = overall_constraint_length(pair.G)
-    nu_bd = overall_constraint_length(pair.H)
     g_fin, g_exps = reduce_rows_equivalent(g_scaled)
     h_fin, h_exps = reduce_rows_equivalent(h_scaled)
     try:
         reduced = GHPair(g_fin, h_fin)
     except ValueError as exc:
         raise RuntimeError(f"GH relation broken: {exc}") from None
-    nu_a = overall_constraint_length(g_fin)
-    nu_ad = overall_constraint_length(h_fin)
+    (nu_b, nu_bd), (nu_a, nu_ad) = pair.nu, reduced.nu
     return ReductionReport(
         original_pair=pair,
         plan=plan,

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blocks import BlockSequence
+from .blocks import BlockSequence, pack_bits
 from .gf2poly import (
     PolyMatrix,
     exponents,
@@ -254,16 +254,22 @@ def enumerate_paths(trellis: Trellis):
     if counts.get(0, 0) > MAX_PATHS:
         raise ValueError(
             f"too many paths: {counts[0]} exceeds {MAX_PATHS}")
-    paths = {0: [()]}
+    # Prefixes are packed ints (see blocks.py): appending a label is one
+    # shift and or, and the int order is the order of the label sequences.
+    n, codes = trellis.n, {}
+    paths = {0: [0]}
     for sec in trellis.sections:
         nxt = {}
-        for b in sec:
-            for pref in paths.get(b.from_state, ()):
-                nxt.setdefault(b.to_state, []).append(pref + (b.label,))
+        for s, ns, label in sec:
+            prefs = paths.get(s)
+            if prefs:
+                code = codes.get(label)
+                if code is None:
+                    code = codes[label] = pack_bits(label)
+                nxt.setdefault(ns, []).extend([p << n | code for p in prefs])
         paths = nxt
-    out = [BlockSequence(trellis.n, p) for p in paths.get(0, [])]
-    out.sort(key=lambda s: s.blocks)
-    return out
+    return [BlockSequence.packed(n, trellis.horizon, p)
+            for p in sorted(paths.get(0, []))]
 
 
 def min_weight_path(trellis: Trellis):

@@ -1,0 +1,180 @@
+"""The packed BlockSequence against a tuple-of-tuples reference.
+
+TupleSequence below is the earlier storage of BlockSequence, kept here as
+the reference: every block a tuple of 0/1 ints, order and equality those
+of the tuples.  Over random widths 1-4 and lengths 0-40 the packed class
+must give the same blocks, bits, xor, weight, padding, text form, equality
+and order, and raise the same validation errors.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shifttrellis import BlockSequence, format_blocks, parse_blocks
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+
+@dataclass(frozen=True)
+class TupleSequence:
+    block_width: int
+    blocks: tuple
+
+    def __post_init__(self):
+        blocks = tuple(tuple(int(b) for b in blk) for blk in self.blocks)
+        for blk in blocks:
+            if len(blk) != self.block_width or any(b not in (0, 1) for b in blk):
+                raise ValueError(
+                    f"block {blk} is not {self.block_width} bits")
+        object.__setattr__(self, "blocks", blocks)
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        return self.blocks[k]
+
+    def bit(self, t, j):
+        return self.blocks[t - 1][j - 1]
+
+    def __xor__(self, other):
+        if self.block_width != other.block_width or len(self) != len(other):
+            raise ValueError(
+                f"shape mismatch: {len(self)}x{self.block_width} vs "
+                f"{len(other)}x{other.block_width}")
+        return TupleSequence(
+            self.block_width,
+            tuple(tuple(a ^ b for a, b in zip(x, y))
+                  for x, y in zip(self.blocks, other.blocks)))
+
+    @property
+    def weight(self):
+        return sum(sum(blk) for blk in self.blocks)
+
+    @classmethod
+    def zero(cls, width, length):
+        return cls(width, ((0,) * width,) * length)
+
+    def padded(self, length):
+        if length < len(self):
+            raise ValueError(f"cannot pad {len(self)} blocks down to {length}")
+        pad = ((0,) * self.block_width,) * (length - len(self))
+        return TupleSequence(self.block_width, self.blocks + pad)
+
+    def text(self):
+        return " ".join("".join(str(b) for b in blk) for blk in self.blocks)
+
+
+@st.composite
+def block_lists(draw, width=None, length=None):
+    w = draw(st.integers(1, 4)) if width is None else width
+    n = draw(st.integers(0, 40)) if length is None else length
+    values = draw(st.lists(st.integers(0, (1 << w) - 1),
+                           min_size=n, max_size=n))
+    return w, tuple(tuple(map(int, format(v, f"0{w}b"))) for v in values)
+
+
+@st.composite
+def same_shape_lists(draw, count):
+    w, first = draw(block_lists())
+    rest = [draw(block_lists(w, len(first)))[1] for _ in range(count - 1)]
+    return w, [first, *rest]
+
+
+@SETTINGS
+@given(block_lists(), st.data())
+def test_packed_matches_tuple_reference(wb, data):
+    w, blocks = wb
+    seq, ref = BlockSequence(w, blocks), TupleSequence(w, blocks)
+    assert seq.blocks == ref.blocks
+    assert len(seq) == len(ref)
+    assert list(seq) == list(ref.blocks)
+    assert seq.weight == ref.weight
+    assert format_blocks(seq) == ref.text()
+    if blocks:
+        assert parse_blocks(ref.text(), width=w) == seq
+        k = data.draw(st.integers(-len(blocks), len(blocks) - 1))
+        assert seq[k] == ref[k]
+        t = data.draw(st.integers(1, len(blocks)))
+        j = data.draw(st.integers(1, w))
+        assert seq.bit(t, j) == ref.bit(t, j)
+    for k in (len(blocks), -len(blocks) - 1):
+        with pytest.raises(IndexError):
+            seq[k]
+    extra = data.draw(st.integers(0, 5))
+    assert (seq.padded(len(seq) + extra).blocks
+            == ref.padded(len(ref) + extra).blocks)
+    if blocks:
+        with pytest.raises(ValueError, match="cannot pad"):
+            seq.padded(len(seq) - 1)
+    zero = BlockSequence.zero(w, len(blocks))
+    assert zero.blocks == TupleSequence.zero(w, len(blocks)).blocks
+    assert zero == BlockSequence(w, TupleSequence.zero(w, len(blocks)).blocks)
+
+
+@SETTINGS
+@given(same_shape_lists(3))
+def test_xor_equality_hash_and_order_match_tuples(wl):
+    w, lists = wl
+    seqs = [BlockSequence(w, b) for b in lists]
+    refs = [TupleSequence(w, b) for b in lists]
+    a, b, c = seqs
+    ra, rb, rc = refs
+    assert (a ^ b).blocks == (ra ^ rb).blocks
+    assert (a ^ b) ^ b == a
+    for x, y, rx, ry in ((a, b, ra, rb), (b, c, rb, rc), (a, a, ra, ra)):
+        assert (x == y) == (rx == ry)
+        assert (x < y) == (rx.blocks < ry.blocks)
+        assert (x <= y) == (rx.blocks <= ry.blocks)
+        assert (x > y) == (rx.blocks > ry.blocks)
+    assert [s.blocks for s in sorted(seqs)] == sorted(r.blocks for r in refs)
+    members = set(seqs)
+    assert BlockSequence(w, lists[0]) in members
+    assert len(members) == len({r.blocks for r in refs})
+
+
+@SETTINGS
+@given(block_lists(), block_lists())
+def test_shapes_never_mix(wb1, wb2):
+    (w1, b1), (w2, b2) = wb1, wb2
+    x, y = BlockSequence(w1, b1), BlockSequence(w2, b2)
+    if (w1, len(b1)) == (w2, len(b2)):
+        return
+    assert x != y
+    assert len({x, y}) == 2
+    for op in (lambda: x ^ y, lambda: x < y, lambda: x <= y, lambda: x >= y,
+               lambda: sorted([x, y])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()
+
+
+@pytest.mark.parametrize("width, blocks", [
+    (2, ((0, 2),)),
+    (2, ((0, 1), (1, 0, 1))),
+    (3, ((0, 1),)),
+    (1, ((-1,),)),
+])
+def test_same_validation_errors(width, blocks):
+    with pytest.raises(ValueError) as want:
+        TupleSequence(width, blocks)
+    with pytest.raises(ValueError) as got:
+        BlockSequence(width, blocks)
+    assert str(got.value) == str(want.value)
+
+
+def test_packed_constructor_range_check():
+    assert BlockSequence.packed(2, 2, 0b1001).blocks == ((1, 0), (0, 1))
+    for width, length, bits in ((2, 2, 16), (2, 2, -1), (3, 0, 1)):
+        with pytest.raises(ValueError, match="is not"):
+            BlockSequence.packed(width, length, bits)
+
+
+def test_immutable():
+    seq = parse_blocks("01 10")
+    with pytest.raises(AttributeError):
+        seq.bits = 0
+    assert format_blocks(seq) == "01 10"

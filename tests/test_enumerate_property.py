@@ -1,0 +1,80 @@
+"""enumerate_paths against the earlier tuple-prefix enumeration.
+
+reference_paths below is that enumeration, kept as the reference: every
+prefix a tuple of label tuples, extended by copying, the result sorted by
+its blocks.  On random code and error trellises with masks (the generators
+of test_min_weight_property), on TIE_PAIR, whose code trellis has two
+branches with one label at every state, and on a code whose label
+sequences repeat, the packed enumeration must return the same list: same
+sequences, same multiplicity, same order.
+"""
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from shifttrellis import (
+    build_code_trellis,
+    build_error_trellis,
+    enumerate_paths,
+    memory,
+    parse_matrix,
+    random_feasible_syndrome,
+    syndrome,
+)
+from pairs import TIE_PAIR, blocks
+from test_min_weight_property import SETTINGS, masks, matrices
+
+
+def reference_paths(trellis):
+    paths = {0: [()]}
+    for sec in trellis.sections:
+        nxt = {}
+        for b in sec:
+            for pref in paths.get(b.from_state, ()):
+                nxt.setdefault(b.to_state, []).append(pref + (b.label,))
+        paths = nxt
+    return sorted(paths.get(0, []))
+
+
+def check(trellis):
+    found = enumerate_paths(trellis)
+    assert [p.blocks for p in found] == reference_paths(trellis)
+    assert all((p.block_width, len(p)) == (trellis.n, trellis.horizon)
+               for p in found)
+
+
+@SETTINGS
+@given(st.data())
+def test_error_trellis_paths_match_reference(data):
+    H = data.draw(matrices())
+    n_real = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    zeta = random_feasible_syndrome(H, n_real, random.Random(seed))
+    mask = masks(data.draw, len(zeta), H.cols)
+    check(build_error_trellis(H, zeta, n_real=n_real, masks=mask))
+
+
+@SETTINGS
+@given(st.data())
+def test_code_trellis_paths_match_reference(data):
+    G = data.draw(matrices())
+    horizon = memory(G) + data.draw(st.integers(0, 3))
+    mask = masks(data.draw, horizon, G.cols)
+    check(build_code_trellis(G, horizon, masks=mask))
+
+
+def test_tie_pair_matches_reference():
+    check(build_code_trellis(TIE_PAIR.G, 5))
+    z = blocks("10 11 01 00 11 10")
+    check(build_error_trellis(TIE_PAIR.H, syndrome(z, TIE_PAIR.H)))
+
+
+def test_repeated_label_sequences_keep_their_multiplicity():
+    # Row 2's input never reaches a label, so each of its 2^2 free choices
+    # repeats every label sequence of row 1.
+    code = build_code_trellis(parse_matrix("D,D+D^2;0,0"), 4)
+    found = enumerate_paths(code)
+    assert len(found) == 4 * len(set(found)) == 16
+    check(code)

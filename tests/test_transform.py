@@ -335,6 +335,31 @@ def test_search_counts_only_legal_plans():
         search_reduction_plan(MAIN_PAIR, 4).plan
 
 
+def test_search_computes_each_nu_once(monkeypatch):
+    # every candidate report reads nu of the input pair, computed once; each
+    # reduced pair's nu is computed once per side
+    import shifttrellis.gf2poly as gf2poly
+    import shifttrellis.transform as transform
+
+    seen, reductions = [], []
+
+    def nu_counted(M):
+        seen.append(M)
+        return overall_constraint_length(M)
+
+    def reduce_counted(*args):
+        reductions.append(args)
+        return simultaneous_reduce(*args)
+
+    monkeypatch.setattr(gf2poly, "overall_constraint_length", nu_counted)
+    monkeypatch.setattr(transform, "simultaneous_reduce", reduce_counted)
+    pair = GHPair(pairs.G_CHAIN, pairs.H_CHAIN)
+    best = search_reduction_plan(pair, 4)
+    assert (best.nu_before, best.nu_before_dual) == (5, 5)
+    assert [M is pair.G or M is pair.H for M in seen].count(True) == 2
+    assert len(seen) == 2 + 2 * len(reductions) > 2
+
+
 def test_random_csr_plans_preserve_product_zero():
     rng = random.Random(2026)
     legal = 0

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -19,6 +20,7 @@ from shifttrellis import (
     syndrome,
     trellis_dot,
 )
+from shifttrellis.cli import main
 from shifttrellis.trellis import MAX_PATHS, MAX_TRELLIS_WORK
 
 from pairs import (
@@ -239,3 +241,34 @@ def test_dot_structure():
     assert '"t0/s00"' in dot
     assert '"t1/s01"' in dot
     assert dot.count("->") == sum(len(s) for s in t.sections)
+
+
+def test_decode_reads_blocks_without_rebuilding_them(monkeypatch, tmp_path):
+    """Reading one block or bit must cost O(1) in the number of blocks:
+    a full decode asks for the whole .blocks tuple as often at 4N blocks
+    as at N, in the library and through the CLI."""
+    calls = []
+    whole = BlockSequence.blocks.fget
+
+    def counted(seq):
+        calls.append(seq)
+        return whole(seq)
+
+    monkeypatch.setattr(BlockSequence, "blocks", property(counted))
+    rng = random.Random(3)
+
+    def blocks_read(n):
+        z = BlockSequence(3, [[rng.randrange(2) for _ in range(3)]
+                              for _ in range(n)])
+        z_file, h_file = tmp_path / f"z{n}.txt", tmp_path / "H.txt"
+        z_file.write_text(format_blocks(z) + "\n")
+        h_file.write_text("1,0,D;D,1+D,0\n")
+        calls.clear()
+        zeta = syndrome(z.padded(n + memory(H_MAIN)), H_MAIN)
+        min_weight_path(build_error_trellis(H_MAIN, zeta))
+        assert main(["decode", str(h_file), str(z_file),
+                     "--out", str(tmp_path / "out.txt")]) == 0
+        return len(calls)
+
+    assert blocks_read(1000) == blocks_read(4000)
+
