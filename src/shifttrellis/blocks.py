@@ -149,6 +149,23 @@ def parse_blocks(text: str, width=None) -> BlockSequence:
     return BlockSequence.packed(w, len(parts), int("".join(parts), 2))
 
 
+def columns(seq: BlockSequence) -> list:
+    """Each component of seq as a polynomial over time: bit t of the j-th
+    int is component j + 1 of block t + 1."""
+    w = seq.block_width
+    text = format(seq.bits, f"0{w * seq.length}b")
+    return [int("0" + text[j::w][::-1], 2) for j in range(w)]
+
+
+def from_columns(width: int, length: int, polys) -> BlockSequence:
+    """The sequence of length blocks whose components over time are polys,
+    the inverse of columns; terms from D^length on are dropped."""
+    rows = [format(p & (1 << length) - 1, f"0{length}b")[::-1]
+            for p in polys]
+    return BlockSequence.packed(
+        width, length, int("0" + "".join(map("".join, zip(*rows))), 2))
+
+
 def format_blocks(seq: BlockSequence) -> str:
     w, total = seq.block_width, seq.block_width * seq.length
     text = format(seq.bits, f"0{total}b") if total else ""

@@ -19,6 +19,7 @@ Any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -316,7 +317,10 @@ def _count(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not
+    change it, and each command looks its library calls up when it runs."""
     ap = argparse.ArgumentParser(
         prog="shifttrellis",
         description="Simultaneous code/error trellis reduction for binary "

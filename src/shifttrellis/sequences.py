@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BlockSequence
+from .blocks import BlockSequence, columns, from_columns
 from .gf2poly import (
     GHPair,
     PolyMatrix,
     degree,
-    exponents,
     memory,
+    poly_mul,
 )
 from .transform import ReductionReport, ShiftPlan, simultaneous_reduce
 from .trellis import build_code_trellis, build_error_trellis, enumerate_paths
@@ -37,20 +37,15 @@ def syndrome(z: BlockSequence, H: PolyMatrix) -> BlockSequence:
     if z.block_width != H.cols:
         raise ValueError(
             f"received width {z.block_width}, expected n={H.cols}")
-    taps = [[(j, exponents(h)) for j, h in enumerate(H.row(i), 1)]
-            for i in range(1, H.rows + 1)]
-    out = []
-    for t in range(1, len(z) + 1):
-        blk = []
-        for row in taps:
-            acc = 0
-            for j, ds in row:
-                for d in ds:
-                    if d < t:
-                        acc ^= z.bit(t - d, j)
-            blk.append(acc)
-        out.append(tuple(blk))
-    return BlockSequence(H.rows, tuple(out))
+    cols = columns(z)
+    rows = []
+    for i in range(1, H.rows + 1):
+        acc = 0
+        for c, h in zip(cols, H.row(i)):
+            if h:
+                acc ^= poly_mul(c, h)
+        rows.append(acc)
+    return from_columns(H.rows, len(z), rows)
 
 
 def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSequence:

@@ -11,20 +11,26 @@ Sections are explicit branch sets because reduced trellises are
 time-varying: shifting makes some label bits inadmissible near the
 boundaries, and those constraints arrive here as per-section masks.  Apart
 from the masks, the flush and (on the error side) the syndrome block, every
-section is the same, so each builder names a section by that key and the
-branches of one (key, state) are computed once and shared by every section
-with that key.  Both builders refuse, before any work, a trellis whose
-states x sections x branches per state exceed MAX_TRELLIS_WORK.
+section is the same, so each builder names a section by that key.  A
+section is fixed by its key and the set of states it starts from, and its
+pruned form by that and the set of states still alive after it, so _sweep
+builds each (key, frontier) and prunes each (section, alive set) once, and
+every section equal to one built earlier is that same tuple object.  Both
+builders refuse, before any work, a trellis whose states x sections x
+branches per state exceed MAX_TRELLIS_WORK.
 
-min_weight_path decodes in two passes linear in the branch count, a
-backward cost-to-go pass and a forward pass over the states tied on the
-best prefix, and returns exactly the minimum of (weight, label sequence).
+min_weight_path decodes in two passes, a backward cost-to-go pass and a
+forward pass over the states tied on the best prefix, and returns exactly
+the minimum of (weight, label sequence).  It groups each distinct section's
+branches by from-state once, so the backward pass is a few C-level maps
+per section and the forward pass reads only the branches of tied states.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 from .blocks import BlockSequence, pack_bits
@@ -41,6 +47,8 @@ from .gf2poly import (
 MAX_TRELLIS_WORK = 1 << 24
 # Most paths enumerate_paths will list, the most words the oracle checks.
 MAX_PATHS = 1 << 16
+# Cost of a state with no way to state 0 at the end.
+_INF = float("inf")
 
 
 class Branch(NamedTuple):
@@ -98,34 +106,45 @@ def _sweep(horizon, n, state_bits, branch_bits, key_of, branches_for):
 
     key_of(t) names all that section t depends on besides the state, and
     branches_for(key, state) yields that state's (next state, label) pairs;
-    each (key, state) is expanded once.  branch_bits is log2 of the most
-    branches a state can have.
+    each (key, state) is expanded once, each (key, frontier) built once and
+    each (section, alive set) pruned once, so equal sections share one
+    tuple.  branch_bits is log2 of the most branches a state can have.
     """
     if horizon << state_bits + branch_bits > MAX_TRELLIS_WORK:
         raise ValueError(
             f"trellis too large: 2^{state_bits} states x {horizon} sections "
             f"x 2^{branch_bits} branches exceeds {MAX_TRELLIS_WORK}")
-    # States run in increasing order and each memo entry is sorted, so every
+    # States run in increasing order and each row is sorted, so every
     # section comes out sorted by (from state, to state, label).
-    memo = {}
+    rows, built = {}, {}
     sections = []
-    frontier = {0}
+    frontier = frozenset((0,))
     for t in range(1, horizon + 1):
         key = key_of(t)
-        sec = []
-        for s in sorted(frontier):
-            branches = memo.get((key, s))
-            if branches is None:
-                branches = memo[key, s] = tuple(sorted(
-                    Branch(s, ns, lbl) for ns, lbl in branches_for(key, s)))
-            sec.extend(branches)
+        hit = built.get((key, frontier))
+        if hit is None:
+            sec = []
+            for s in sorted(frontier):
+                row = rows.get((key, s))
+                if row is None:
+                    row = rows[key, s] = tuple(sorted(
+                        Branch(s, ns, lbl)
+                        for ns, lbl in branches_for(key, s)))
+                sec.extend(row)
+            hit = built[key, frontier] = (
+                tuple(sec), frozenset([b.to_state for b in sec]))
+        sec, frontier = hit
         sections.append(sec)
-        frontier = {b.to_state for b in sec}
-    alive = {0}
+    # Every built section stays referenced by `built`, so its id is a key.
+    pruned = {}
+    alive = frozenset((0,))
     for t in range(horizon - 1, -1, -1):
-        kept = tuple([b for b in sections[t] if b.to_state in alive])
-        sections[t] = kept
-        alive = {b.from_state for b in kept}
+        hit = pruned.get((id(sections[t]), alive))
+        if hit is None:
+            kept = tuple([b for b in sections[t] if b.to_state in alive])
+            hit = pruned[id(sections[t]), alive] = (
+                kept, frozenset([b.from_state for b in kept]))
+        sections[t], alive = hit
     feasible = horizon == 0 or bool(sections[0])
     return Trellis(n, horizon, state_bits, tuple(sections), feasible)
 
@@ -219,6 +238,9 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
         return new_state, tuple(out)
 
     flush = frozenset(range(1, n + 1))
+    # (forced columns, state) -> every (next state, output, error label);
+    # step does not depend on the syndrome block, which only filters.
+    table = {}
 
     def key_of(t):
         return (syndrome[t - 1],
@@ -226,14 +248,16 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
 
     def branches_for(key, state):
         want, forced = key
-        free = [j for j in range(1, n + 1) if j not in forced]
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            e = [0] * n
-            for j, b in zip(free, bits):
-                e[j - 1] = b
-            ns, out = step(state, e)
-            if out == want:
-                yield ns, tuple(e)
+        moves = table.get((forced, state))
+        if moves is None:
+            free = [j for j in range(1, n + 1) if j not in forced]
+            moves = table[forced, state] = []
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                e = [0] * n
+                for j, b in zip(free, bits):
+                    e[j - 1] = b
+                moves.append((*step(state, e), tuple(e)))
+        return [(ns, e) for ns, out, e in moves if out == want]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
                   key_of, branches_for)
@@ -276,37 +300,63 @@ def min_weight_path(trellis: Trellis):
     """Minimum Hamming-weight path and its weight, ties broken lexically.
 
     The result is the minimum of (weight, label sequence) over all paths,
-    found in two passes linear in the branch count (Viterbi without prefix
-    copies; Forney, Proc. IEEE 1973).  A backward pass gives each state the
-    least weight still to go to state 0 at the end.  A forward pass then
-    follows the set of states that the best prefix so far can end in, and
-    at each section appends the smallest label that still completes at the
-    optimal weight.  It is a set because one state may have two branches
-    with the same label, so equal prefixes can reach different states.
+    found in two passes (Viterbi without prefix copies; Forney, Proc. IEEE
+    1973).  A backward pass gives each state the least weight still to go
+    to state 0 at the end.  A forward pass then follows the set of states
+    that the best prefix so far can end in, and at each section appends the
+    smallest label that still completes at the optimal weight.  It is a set
+    because one state may have two branches with the same label, so equal
+    prefixes can reach different states.
     """
     sections = trellis.sections
-    to_go = [{} for _ in sections] + [{0: 0}]
+    # Sections are grouped once per distinct object; every one stays
+    # referenced by the trellis, so its id is a key.
+    grouped = {}
+    layout = []
+    for sec in sections:
+        g = grouped.get(id(sec))
+        if g is None:
+            g = grouped[id(sec)] = _by_state(sec)
+        layout.append(g)
+    to_go = [None] * len(sections) + [{0: 0}]
     for t in range(len(sections) - 1, -1, -1):
-        after, here = to_go[t + 1], to_go[t]
-        for s, ns, label in sections[t]:
-            w = after.get(ns)
-            if w is not None:
-                w += sum(label)
-                if w < here.get(s, w + 1):
-                    here[s] = w
-    if 0 not in to_go[0]:
+        froms, tos, ws, width, _ = layout[t]
+        ends = map(to_go[t + 1].get, tos, itertools.repeat(_INF))
+        costs = list(map(add, ends, ws))
+        to_go[t] = dict(zip(froms, map(min, *[costs[k::width]
+                                               for k in range(width)])))
+    weight = left = to_go[0].get(0, _INF)
+    if weight == _INF:
         raise ValueError("no admissible path")
-    weight = left = to_go[0][0]
     states, labels = {0}, []
-    for sec, after in zip(sections, to_go[1:]):
-        tied = [(label, ns) for s, ns, label in sec
-                if s in states and ns in after
-                and sum(label) + after[ns] == left]
+    for (*_, moves), after in zip(layout, to_go[1:]):
+        tied = [(label, ns) for s in states for ns, w, label in moves[s]
+                if w + after.get(ns, _INF) == left]
         best = min(label for label, _ in tied)
         states = {s for label, s in tied if label == best}
         labels.append(best)
         left -= sum(best)
     return BlockSequence(trellis.n, tuple(labels)), weight
+
+
+def _by_state(sec):
+    """One section's branches grouped by from-state for min_weight_path.
+
+    Returns the from-states; flat lists of to-states and label weights,
+    state by state, each state's group padded to `width` entries by a dead
+    branch of infinite cost; width, at least 2 so that map(min, ...) always
+    gets two arguments; and per from-state its (to, weight, label) list.
+    """
+    moves = {}
+    for s, ns, label in sec:
+        moves.setdefault(s, []).append((ns, sum(label), label))
+    width = max(2, max(map(len, moves.values()), default=0))
+    tos, ws = [], []
+    for group in moves.values():
+        pad = width - len(group)
+        tos.extend([ns for ns, _, _ in group] + [None] * pad)
+        ws.extend([w for _, w, _ in group] + [_INF] * pad)
+    return list(moves), tos, ws, width, moves
 
 
 def trellis_dot(trellis: Trellis) -> str:

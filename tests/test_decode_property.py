@@ -1,0 +1,226 @@
+"""The decode path against the earlier per-branch and per-bit code.
+
+reference_sweep, reference_min_weight_path and reference_syndrome below
+are those versions, kept as references: reference_sweep builds every
+section branch by branch and prunes it with one Python loop per section,
+reference_min_weight_path relaxes every branch of every section in
+Python, and reference_syndrome reads the received word one bit at a time.
+Both builders run once with the shared-section sweep and once with
+reference_sweep patched in, on random code and error trellises with
+masks (the matrix and mask generators of test_min_weight_property) at
+horizons up to 40, past the oracle's limit, and on TIE_PAIR; the sections
+must be equal tuples.  min_weight_path must return the identical
+(sequence, weight) or refuse the same inputs, also on hand-built
+trellises whose sections are lists, some empty, some repeated, with
+states of unequal branch counts.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from shifttrellis import (
+    BlockSequence,
+    Branch,
+    PolyMatrix,
+    Trellis,
+    build_code_trellis,
+    build_error_trellis,
+    exponents,
+    memory,
+    min_weight_path,
+    random_feasible_syndrome,
+    syndrome,
+    trellis,
+)
+from shifttrellis.trellis import MAX_TRELLIS_WORK
+from pairs import TIE_PAIR, blocks
+from test_min_weight_property import SETTINGS, masks, matrices
+
+MAX_HORIZON = 40
+
+
+def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
+                    branches_for):
+    if horizon << state_bits + branch_bits > MAX_TRELLIS_WORK:
+        raise ValueError(
+            f"trellis too large: 2^{state_bits} states x {horizon} sections "
+            f"x 2^{branch_bits} branches exceeds {MAX_TRELLIS_WORK}")
+    memo = {}
+    sections = []
+    frontier = {0}
+    for t in range(1, horizon + 1):
+        key = key_of(t)
+        sec = []
+        for s in sorted(frontier):
+            branches = memo.get((key, s))
+            if branches is None:
+                branches = memo[key, s] = tuple(sorted(
+                    Branch(s, ns, lbl) for ns, lbl in branches_for(key, s)))
+            sec.extend(branches)
+        sections.append(sec)
+        frontier = {b.to_state for b in sec}
+    alive = {0}
+    for t in range(horizon - 1, -1, -1):
+        kept = tuple([b for b in sections[t] if b.to_state in alive])
+        sections[t] = kept
+        alive = {b.from_state for b in kept}
+    feasible = horizon == 0 or bool(sections[0])
+    return Trellis(n, horizon, state_bits, tuple(sections), feasible)
+
+
+def reference_min_weight_path(trellis):
+    sections = trellis.sections
+    to_go = [{} for _ in sections] + [{0: 0}]
+    for t in range(len(sections) - 1, -1, -1):
+        after, here = to_go[t + 1], to_go[t]
+        for s, ns, label in sections[t]:
+            w = after.get(ns)
+            if w is not None:
+                w += sum(label)
+                if w < here.get(s, w + 1):
+                    here[s] = w
+    if 0 not in to_go[0]:
+        raise ValueError("no admissible path")
+    weight = left = to_go[0][0]
+    states, labels = {0}, []
+    for sec, after in zip(sections, to_go[1:]):
+        tied = [(label, ns) for s, ns, label in sec
+                if s in states and ns in after
+                and sum(label) + after[ns] == left]
+        best = min(label for label, _ in tied)
+        states = {s for label, s in tied if label == best}
+        labels.append(best)
+        left -= sum(best)
+    return BlockSequence(trellis.n, tuple(labels)), weight
+
+
+def reference_syndrome(z, H):
+    taps = [[(j, exponents(h)) for j, h in enumerate(H.row(i), 1)]
+            for i in range(1, H.rows + 1)]
+    out = []
+    for t in range(1, len(z) + 1):
+        blk = []
+        for row in taps:
+            acc = 0
+            for j, ds in row:
+                for d in ds:
+                    if d < t:
+                        acc ^= z.bit(t - d, j)
+            blk.append(acc)
+        out.append(tuple(blk))
+    return BlockSequence(H.rows, tuple(out))
+
+
+def check_decode(t):
+    """min_weight_path agrees with the reference, refusals included."""
+    try:
+        want = reference_min_weight_path(t)
+    except ValueError:
+        with pytest.raises(ValueError, match="no admissible path"):
+            min_weight_path(t)
+        return
+    got = min_weight_path(t)
+    assert got == want
+    assert type(got[1]) is int
+
+
+def check_build(build, *args, **kwargs):
+    """The builder gives the same trellis with either sweep; then decode."""
+    t = build(*args, **kwargs)
+    with mock.patch.object(trellis, "_sweep", reference_sweep):
+        ref = build(*args, **kwargs)
+    assert t.sections == ref.sections
+    assert t == ref
+    check_decode(t)
+
+
+@SETTINGS
+@given(st.data())
+def test_error_trellis_matches_reference(data):
+    H = data.draw(matrices())
+    n_real = data.draw(st.integers(0, MAX_HORIZON - memory(H)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    zeta = random_feasible_syndrome(H, n_real, rng)
+    if len(zeta) and data.draw(st.booleans()):
+        # one flipped syndrome bit, often infeasible
+        flip = 1 << rng.randrange(H.rows * len(zeta))
+        zeta = BlockSequence.packed(H.rows, len(zeta), zeta.bits ^ flip)
+    mask = masks(data.draw, len(zeta), H.cols)
+    check_build(build_error_trellis, H, zeta, n_real=n_real, masks=mask)
+
+
+@SETTINGS
+@given(st.data())
+def test_code_trellis_matches_reference(data):
+    G = data.draw(matrices())
+    horizon = data.draw(st.integers(memory(G), MAX_HORIZON))
+    mask = masks(data.draw, horizon, G.cols)
+    check_build(build_code_trellis, G, horizon, masks=mask)
+
+
+def test_tie_pair_matches_reference():
+    check_build(build_code_trellis, TIE_PAIR.G, 5)
+    z = blocks("10 11 01 00 11 10")
+    check_build(build_error_trellis, TIE_PAIR.H, syndrome(z, TIE_PAIR.H))
+
+
+@st.composite
+def hand_built(draw):
+    """A trellis over 4 states whose sections are lists drawn from a small
+    pool, so some are one repeated object; empty sections, parallel
+    branches and states of 1 to 4 branches all occur."""
+    n = draw(st.integers(1, 3))
+    branch = st.builds(Branch, st.integers(0, 3), st.integers(0, 3),
+                       st.tuples(*[st.integers(0, 1)] * n))
+    pool = draw(st.lists(st.lists(branch, max_size=10), min_size=1,
+                         max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    return Trellis(n, len(picks), 2, tuple(pool[i] for i in picks))
+
+
+@SETTINGS
+@given(hand_built())
+def test_hand_built_trellis_decodes_like_reference(t):
+    check_decode(t)
+
+
+def test_hand_built_corner_cases():
+    # an empty section: nothing gets through
+    check_decode(Trellis(1, 2, 1, ([Branch(0, 0, (0,))], [])))
+    with pytest.raises(ValueError, match="no admissible path"):
+        min_weight_path(Trellis(1, 1, 0, ([],)))
+    # every state with a single branch
+    single = Trellis(1, 2, 1, ([Branch(0, 1, (1,))], [Branch(1, 0, (0,))]))
+    check_decode(single)
+    assert min_weight_path(single) == (blocks("1 0"), 1)
+    # state 0 with three branches and state 1 with one in the same
+    # section, so state 1's group is padded
+    mixed = Trellis(1, 3, 1, (
+        [Branch(0, 0, (0,)), Branch(0, 1, (1,))],
+        [Branch(0, 0, (1,)), Branch(0, 1, (0,)), Branch(0, 0, (0,)),
+         Branch(1, 0, (1,))],
+        [Branch(0, 0, (1,)), Branch(1, 0, (0,))],
+    ))
+    check_decode(mixed)
+    assert min_weight_path(mixed) == (blocks("0 0 0"), 0)
+    # no sections at all: the empty sequence, weight 0
+    assert min_weight_path(Trellis(2, 0, 0, ())) == (
+        BlockSequence.zero(2, 0), 0)
+
+
+@SETTINGS
+@given(st.data())
+def test_syndrome_matches_reference(data):
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.integers(1, 4))
+    H = PolyMatrix(rows, cols, tuple(data.draw(
+        st.lists(st.integers(0, 127), min_size=rows * cols,
+                 max_size=rows * cols))))
+    length = data.draw(st.integers(0, 60))
+    z = BlockSequence.packed(cols, length,
+                             data.draw(st.integers(0, 2**(cols * length) - 1)))
+    assert syndrome(z, H) == reference_syndrome(z, H)

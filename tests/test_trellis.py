@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from shifttrellis import (
     syndrome,
     trellis_dot,
 )
+from shifttrellis import trellis
 from shifttrellis.cli import main
 from shifttrellis.trellis import MAX_PATHS, MAX_TRELLIS_WORK
 
@@ -272,3 +274,48 @@ def test_decode_reads_blocks_without_rebuilding_them(monkeypatch, tmp_path):
 
     assert blocks_read(1000) == blocks_read(4000)
 
+
+# K=7 rate-1/2 code, generators 171 and 133 octal: H = (g2, g1).
+H_K7 = parse_matrix("1+D^2+D^3+D^5+D^6,1+D+D^2+D^3+D^6")
+
+
+def k7_syndrome(n_info, rng):
+    """Syndrome of n_info random blocks through a crossover-0.02 channel,
+    plus the 6-block zero tail; codeword bits do not change it."""
+    z = BlockSequence(2, [[int(rng.random() < 0.02) for _ in range(2)]
+                          for _ in range(n_info)]).padded(n_info + 6)
+    return syndrome(z, H_K7)
+
+
+def test_error_trellis_shares_repeated_sections():
+    """A section is fixed by its syndrome block, its forced columns and the
+    states it starts from, so a K=7 frame has as many distinct section
+    objects at N=800 as at N=200: decoding works per distinct section."""
+    rng = random.Random(7)
+    distinct = {}
+    for n in (200, 800):
+        t = build_error_trellis(H_K7, k7_syndrome(n, rng))
+        distinct[n] = len({id(sec) for sec in t.sections})
+    assert distinct[200] == distinct[800]
+
+
+def test_error_builder_expands_each_state_once_per_forced_set():
+    """step runs once per (forced columns, state, error label), whatever
+    the syndrome block: 64 states x 4 labels free, 64 x 1 in the flush."""
+    zeta = k7_syndrome(200, random.Random(5))
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "step"
+                and code.co_filename == trellis.__file__):
+            calls.append(1)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        t = build_error_trellis(H_K7, zeta)
+    finally:
+        sys.setprofile(old)
+    assert t.feasible
+    assert 0 < len(calls) <= 64 * 4 + 64 * 1
