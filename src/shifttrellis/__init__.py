@@ -1,7 +1,7 @@
 """Simultaneous reduction of code- and error-trellises for binary
 convolutional codes through shifted subsequences."""
 
-from .blocks import BlockSequence, format_blocks, parse_blocks
+from .blocks import BlockSequence, format_blocks, format_sequences, parse_blocks
 from .gf2poly import (
     GHPair,
     Poly,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import repeat
+from operator import and_, attrgetter, rshift
 
 
 def pack_bits(bits) -> int:
@@ -42,21 +44,21 @@ class BlockSequence:
                 raise ValueError(f"block {blk} is not {block_width} bits")
             bits = bits << block_width | pack_bits(blk)
             length += 1
-        self._set(block_width, length, bits)
+        _set_width(self, block_width)
+        _set_length(self, length)
+        _set_bits(self, bits)
+        self.__post_init__()
 
     @classmethod
     def packed(cls, block_width: int, length: int,
                bits: int) -> "BlockSequence":
         """The sequence of length blocks whose packed form is bits."""
         seq = object.__new__(cls)
-        seq._set(block_width, length, bits)
+        _set_width(seq, block_width)
+        _set_length(seq, length)
+        _set_bits(seq, bits)
+        seq.__post_init__()
         return seq
-
-    def _set(self, block_width, length, bits):
-        object.__setattr__(self, "block_width", block_width)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
-        self.__post_init__()
 
     def __post_init__(self):
         """Range check, run once per construction by both constructors
@@ -134,6 +136,12 @@ class BlockSequence:
             self.bits << (length - self.length) * self.block_width)
 
 
+# The slot descriptors, which set a field of the frozen class directly.
+_set_width = BlockSequence.block_width.__set__
+_set_length = BlockSequence.length.__set__
+_set_bits = BlockSequence.bits.__set__
+
+
 def parse_blocks(text: str, width=None) -> BlockSequence:
     """Parse whitespace-separated bit blocks, e.g. "001 000 011 010 000"."""
     parts = text.split()
@@ -166,7 +174,60 @@ def from_columns(width: int, length: int, polys) -> BlockSequence:
         width, length, int("0" + "".join(map("".join, zip(*rows))), 2))
 
 
+# Texts are read chunk by chunk, at most _CHUNK_BITS bits of blocks at a
+# time, from _TABLES[width, blocks in the chunk]: the text of every value of
+# such a chunk, so no table holds more than 2^_CHUNK_BITS strings.
+_CHUNK_BITS = 6
+_TABLES = {}
+_shape = attrgetter("block_width", "length")
+_bits = attrgetter("bits")
+
+
+def _chunk_text(width: int, count: int):
+    """The function from the value of count blocks of width bits to their
+    text; a block wider than a chunk is printed by str.format alone."""
+    if width * count > _CHUNK_BITS:
+        return f"{{:0{width}b}}".format
+    table = _TABLES.get((width, count))
+    if table is None:
+        spans = range(0, width * count, width)
+        table = _TABLES[width, count] = tuple(
+            " ".join([text[i:i + width] for i in spans])
+            for text in (format(v, f"0{width * count}b")
+                         for v in range(1 << width * count)))
+    return table.__getitem__
+
+
+def format_sequences(seqs) -> list:
+    """The text of each sequence of a list of sequences of one shape.
+
+    The packed ints are cut into chunks of _CHUNK_BITS // width blocks (one
+    block if wider), the first chunk holding the remainder, and each chunk
+    column is read from its table by C-level maps over the whole list.
+    """
+    if len(set(map(_shape, seqs))) > 1:
+        for seq in seqs:
+            seqs[0].check_shape(seq)
+    if not seqs:
+        return []
+    width, length = _shape(seqs[0])
+    if not width * length:
+        # no bits to print: "" for no blocks, else length - 1 separators
+        return [" " * (length - 1)] * len(seqs)
+    step = max(_CHUNK_BITS // width, 1)
+    bits = list(map(_bits, seqs))
+    head = length % step or step
+    head_text, text = _chunk_text(width, head), _chunk_text(width, step)
+    mask = (1 << step * width) - 1
+    cols = []
+    for left in range(length - head, -1, -step):
+        # left blocks follow the chunk; only the first has no bits above it
+        values = map(rshift, bits, repeat(left * width)) if left else bits
+        cols.append(map(text, map(and_, values, repeat(mask))) if cols
+                    else map(head_text, values))
+    return list(map(" ".join, zip(*cols)))
+
+
 def format_blocks(seq: BlockSequence) -> str:
-    w, total = seq.block_width, seq.block_width * seq.length
-    text = format(seq.bits, f"0{total}b") if total else ""
-    return " ".join([text[k * w:k * w + w] for k in range(seq.length)])
+    """The text form of seq, e.g. "001 000 011 010"."""
+    return format_sequences((seq,))[0]

@@ -24,7 +24,7 @@ import json
 import random
 import sys
 
-from .blocks import format_blocks, parse_blocks
+from .blocks import format_blocks, format_sequences, parse_blocks
 from .gf2poly import (
     GHPair,
     format_matrix,
@@ -84,6 +84,11 @@ def _dump(obj):
 
 def _mat_json(M):
     return [[format_poly(e) for e in M.row(i)] for i in range(1, M.rows + 1)]
+
+
+def _indented(texts):
+    """Each listed text as a report line, indented by two spaces."""
+    return map("  ".__add__, texts)
 
 
 def _plan_json(plan):
@@ -184,14 +189,13 @@ def _trellis_report(t, fmt, extra=()):
     text, with the extra lines after the state count."""
     if fmt == "dot":
         return trellis_dot(t)
-    paths = [format_blocks(p) for p in enumerate_paths(t)]
+    paths = format_sequences(enumerate_paths(t))
     if fmt == "json":
         return _dump({"stateBits": t.state_bits, "states": t.state_count,
                       "horizon": t.horizon, "feasible": t.feasible,
                       "paths": paths})
     return "\n".join([f"state bits: {t.state_bits}", f"states: {t.state_count}",
-                      *extra, f"paths: {len(paths)}",
-                      *("  " + p for p in paths)])
+                      *extra, f"paths: {len(paths)}", *_indented(paths)])
 
 
 def cmd_code_trellis(args):
@@ -234,8 +238,12 @@ def cmd_decode(args):
 def cmd_verify(args):
     pair, plan = _pair(args.g, args.h), _load(parse_plan, args.plan)
     z = _load(parse_blocks, args.z, pair.n)
+    if args.n_blocks is not None and args.n_blocks > len(z):
+        raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
     n_real = args.n_blocks if args.n_blocks is not None else len(z)
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
+    errors, codes, recon, mismatch = map(format_sequences, (
+        rep.error_paths, rep.code_paths, rep.reconstructed, rep.mismatch))
     if args.format == "json":
         text = _dump({
             "window": rep.window,
@@ -249,11 +257,11 @@ def cmd_verify(args):
             "codeStatesAfter": rep.code_states_after,
             "errorStatesBefore": rep.error_states_before,
             "errorStatesAfter": rep.error_states_after,
-            "errorPaths": [format_blocks(p) for p in rep.error_paths],
-            "codePaths": [format_blocks(p) for p in rep.code_paths],
-            "reconstructed": [format_blocks(p) for p in rep.reconstructed],
+            "errorPaths": errors,
+            "codePaths": codes,
+            "reconstructed": recon,
             "passed": rep.passed,
-            "mismatch": [format_blocks(p) for p in rep.mismatch]})
+            "mismatch": mismatch})
     else:
         lines = [
             f"window: {rep.window} blocks ({rep.n_real} real)",
@@ -266,15 +274,11 @@ def cmd_verify(args):
             f"code states: {rep.code_states_before} -> {rep.code_states_after}",
             f"error states: {rep.error_states_before} -> "
             f"{rep.error_states_after}",
-            f"error paths ({len(rep.error_paths)}):"]
-        lines.extend("  " + format_blocks(p) for p in rep.error_paths)
-        lines.append(f"code paths ({len(rep.code_paths)}):")
-        lines.extend("  " + format_blocks(p) for p in rep.code_paths)
-        lines.append(f"reconstructed ({len(rep.reconstructed)}):")
-        lines.extend("  " + format_blocks(p) for p in rep.reconstructed)
-        if rep.mismatch:
-            lines.append(f"mismatch ({len(rep.mismatch)}):")
-            lines.extend("  " + format_blocks(p) for p in rep.mismatch)
+            f"error paths ({len(errors)}):", *_indented(errors),
+            f"code paths ({len(codes)}):", *_indented(codes),
+            f"reconstructed ({len(recon)}):", *_indented(recon)]
+        if mismatch:
+            lines += [f"mismatch ({len(mismatch)}):", *_indented(mismatch)]
         lines.append("result: " + ("PASS" if rep.passed else "FAIL"))
         text = "\n".join(lines)
     return text, 0 if rep.passed else 1
@@ -300,7 +304,7 @@ def cmd_oracle(args):
         ok = ok and not diff
         lines.append(f"{label}: MISMATCH" if diff
                      else f"{label}: OK ({len(truth)} paths)")
-        lines.extend("  " + format_blocks(p) for p in diff)
+        lines.extend(_indented(format_sequences(diff)))
     lines.append("all checks passed" if ok else "MISMATCH detected")
     return "\n".join(lines), 0 if ok else 1
 

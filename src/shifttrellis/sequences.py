@@ -12,8 +12,10 @@ n_real + |s_j| blocks and the identity beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import xor
 
-from .blocks import BlockSequence, columns, from_columns
+from .blocks import BlockSequence, _bits, _shape, columns, from_columns
 from .gf2poly import (
     GHPair,
     PolyMatrix,
@@ -96,11 +98,12 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
 def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
     """Blockwise xor of the shifted received data onto every error path,
     sorted, each distinct sequence once."""
-    z = z_shifted.bits
-    for e in error_paths:
-        z_shifted.check_shape(e)
-    return [BlockSequence.packed(z_shifted.block_width, len(z_shifted), bits)
-            for bits in sorted({z ^ e.bits for e in error_paths})]
+    w, n = _shape(z_shifted)
+    if set(map(_shape, error_paths)) - {(w, n)}:
+        for e in error_paths:
+            z_shifted.check_shape(e)
+    return [BlockSequence.packed(w, n, bits) for bits in sorted(set(
+        map(xor, map(_bits, error_paths), repeat(z_shifted.bits))))]
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,8 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         build_code_trellis(g_fin, window, masks=masks))
     recon = reconstruct_code_paths(z_sh, err_paths)
 
-    c_set, y_set = set(code_paths), set(recon)
+    # Both lists have the window x n shape of z_sh, so their ints compare.
+    c_set, y_set = set(map(_bits, code_paths)), set(map(_bits, recon))
     return VerifyReport(
         reduction=red,
         n_real=n_real,
@@ -188,4 +192,5 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         error_states_before=1 << red.nu_before_dual,
         error_states_after=1 << red.nu_after_dual,
         passed=c_set == y_set,
-        mismatch=tuple(sorted(c_set ^ y_set)))
+        mismatch=tuple(BlockSequence.packed(z_sh.block_width, window, bits)
+                       for bits in sorted(c_set ^ y_set)))

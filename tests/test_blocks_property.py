@@ -5,6 +5,9 @@ the reference: every block a tuple of 0/1 ints, order and equality those
 of the tuples.  Over random widths 1-4 and lengths 0-40 the packed class
 must give the same blocks, bits, xor, weight, padding, text form, equality
 and order, and raise the same validation errors.
+
+slicing_format below is the earlier per-sequence formatter, kept as the
+reference of the chunked list formatter format_sequences.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shifttrellis import BlockSequence, format_blocks, parse_blocks
+from shifttrellis import (
+    BlockSequence,
+    format_blocks,
+    format_sequences,
+    parse_blocks,
+)
+from shifttrellis.blocks import _TABLES
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -178,3 +187,48 @@ def test_immutable():
     with pytest.raises(AttributeError):
         seq.bits = 0
     assert format_blocks(seq) == "01 10"
+
+
+def slicing_format(seq):
+    """The text of seq cut from its whole binary string, block by block."""
+    w, total = seq.block_width, seq.block_width * seq.length
+    text = format(seq.bits, f"0{total}b") if total else ""
+    return " ".join([text[k * w:k * w + w] for k in range(seq.length)])
+
+
+@st.composite
+def packed_lists(draw):
+    """A width 1-4, a length 0-40 and 0-50 sequences of that shape."""
+    w, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    ints = draw(st.lists(st.integers(0, (1 << w * n) - 1), max_size=50))
+    return [BlockSequence.packed(w, n, bits) for bits in ints]
+
+
+@SETTINGS
+@given(packed_lists())
+def test_list_formatter_matches_slicing_reference(seqs):
+    want = [slicing_format(s) for s in seqs]
+    assert format_sequences(seqs) == want
+    assert [format_blocks(s) for s in seqs] == want
+    assert max(map(len, _TABLES.values()), default=0) <= 64
+
+
+@pytest.mark.parametrize("width", [0, 5, 6, 7, 9, 13])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 7])
+def test_list_formatter_edge_widths(width, length):
+    seqs = [BlockSequence.packed(width, length, bits)
+            for bits in range(min(1 << width * length, 9))]
+    assert format_sequences(seqs) == [slicing_format(s) for s in seqs]
+    assert max(map(len, _TABLES.values()), default=0) <= 64
+
+
+@SETTINGS
+@given(packed_lists(), block_lists(), st.data())
+def test_list_formatter_refuses_mixed_shapes(seqs, wb, data):
+    w, b = wb
+    odd = BlockSequence(w, b)
+    if not seqs or (w, len(b)) == (seqs[0].block_width, len(seqs[0])):
+        return
+    k = data.draw(st.integers(0, len(seqs)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        format_sequences([*seqs[:k], odd, *seqs[k:]])

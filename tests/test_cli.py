@@ -234,6 +234,15 @@ def test_verify_json(files, capsys):
     assert obj["zShifted"] == "000 001 010 011 000"
 
 
+@pytest.mark.parametrize("argv", [("decode", "h", "z"),
+                                  ("verify", "g", "h", "z", "--plan", "plan")])
+def test_n_blocks_above_given_is_a_usage_error(files, capsys, argv):
+    args = [files.get(a, a) for a in argv]
+    rc, out, err = run(capsys, *args, "--n-blocks", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: --n-blocks 5 but 4 blocks given\n"
+
+
 def test_oracle(files, capsys):
     rc, out, _ = run(capsys, "oracle", files["g"], files["h"],
                      "--trials", "4", "--seed", "7")

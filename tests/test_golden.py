@@ -1,9 +1,10 @@
 """Byte-for-byte CLI output on the MAIN, T2 and CHAIN fixtures, plus a
-K=7 decode and the tie-rich pair.
+K=7 decode, the tie-rich pair and a failing verify.
 
 On MAIN, T2 and CHAIN every subcommand runs in every format it offers; the
-other two fixtures run the commands listed in ONLY.  Stdout must equal the
-file under tests/golden/ exactly.  To rewrite those files after an
+other fixtures run the commands listed in ONLY.  Stdout must equal the
+file under tests/golden/ exactly, and the exit status the one in STATUS
+(0 where it names none).  To rewrite those files after an
 intended change of output, run from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -24,6 +25,7 @@ from shifttrellis import (
     format_matrix,
     format_plan,
     parse_matrix,
+    parse_plan,
     poly_mul,
 )
 from shifttrellis.cli import main
@@ -62,9 +64,17 @@ FIXTURES = {
               "110 011 101 001", "01 11 00 10 00 10 00", 6),
     "k7": (K7_PAIR, None, k7_frame(), None, None),
     "tie": (pairs.TIE_PAIR, None, "10 11 01 00 11 10", None, 5),
+    # A legal plan whose G' generates only a subcode of the code of H':
+    # 8 reduced code paths against 16 error paths, so verify fails.
+    "subcode": (pairs.pair("D,D+D^2,0,0;0,0,D,0;0,D+D^2,0,D", "1+D,1,0,1+D"),
+                parse_plan("1 1 0 0\n1 0 0 1\n1 1 0 0\n1 1 0 0"),
+                "0000 0000", None, None),
 }
 # Fixtures that run only some of the commands.
-ONLY = {"k7": ("decode",), "tie": ("code-trellis", "decode")}
+ONLY = {"k7": ("decode",), "tie": ("code-trellis", "decode"),
+        "subcode": ("verify",)}
+# (fixture, command) -> exit status of every format, where it is not 0.
+STATUS = {("subcode", "verify"): 1}
 
 # command -> (arguments in terms of the input files, formats)
 COMMANDS = {
@@ -118,7 +128,7 @@ def golden_path(fixture, command, fmt):
                          ids=["-".join(c) for c in CASES])
 def test_cli_output_matches_golden(tmp_path, fixture, command, fmt):
     rc, out = run_case(tmp_path, fixture, command, fmt)
-    assert rc == 0
+    assert rc == STATUS.get((fixture, command), 0)
     assert out == golden_path(fixture, command, fmt).read_bytes()
 
 
@@ -127,7 +137,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         for case in CASES:
             rc, out = run_case(folder, *case)
-            if rc != 0:
+            if rc != STATUS.get(case[:2], 0):
                 sys.exit(f"{'-'.join(case)} exited {rc}")
             golden_path(*case).write_bytes(out)
     print(f"wrote {len(CASES)} files to {GOLDEN}")
