@@ -15,14 +15,6 @@ from itertools import repeat
 from operator import and_, attrgetter, rshift
 
 
-def pack_bits(bits) -> int:
-    """The int whose binary digits, most significant first, are bits."""
-    value = 0
-    for b in bits:
-        value = value << 1 | b
-    return value
-
-
 @total_ordering
 @dataclass(frozen=True, init=False, repr=False)
 class BlockSequence:
@@ -42,7 +34,8 @@ class BlockSequence:
             blk = tuple(int(b) for b in blk)
             if len(blk) != block_width or any(b not in (0, 1) for b in blk):
                 raise ValueError(f"block {blk} is not {block_width} bits")
-            bits = bits << block_width | pack_bits(blk)
+            for b in blk:
+                bits = bits << 1 | b
             length += 1
         _set_width(self, block_width)
         _set_length(self, length)
@@ -89,14 +82,18 @@ class BlockSequence:
     def __len__(self):
         return self.length
 
-    def __getitem__(self, k: int) -> tuple:
-        """Block k (0-based, negative from the end) as a tuple of bits."""
+    def block(self, k: int) -> int:
+        """Block k (0-based, negative from the end) as a packed int."""
         i = k + self.length if k < 0 else k
         if not 0 <= i < self.length:
             raise IndexError(f"block {k} of {self.length}")
         w = self.block_width
-        blk = self.bits >> (self.length - 1 - i) * w
-        return tuple(blk >> i & 1 for i in range(w - 1, -1, -1))
+        return self.bits >> (self.length - 1 - i) * w & (1 << w) - 1
+
+    def __getitem__(self, k: int) -> tuple:
+        """Block k (0-based, negative from the end) as a tuple of bits."""
+        blk = self.block(k)
+        return tuple(blk >> i & 1 for i in range(self.block_width - 1, -1, -1))
 
     @property
     def blocks(self) -> tuple:

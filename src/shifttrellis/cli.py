@@ -206,6 +206,8 @@ def cmd_code_trellis(args):
 def cmd_error_trellis(args):
     h = _load(parse_matrix, args.h)
     syn = _load(parse_blocks, args.syndrome, h.rows)
+    if args.n_blocks is not None and args.n_blocks > len(syn):
+        raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(syn)} blocks given")
     t = build_error_trellis(h, syn, n_real=args.n_blocks)
     flag = "feasible: yes" if t.feasible else "feasible: no (infeasible syndrome)"
     return _trellis_report(t, args.format, [flag]), 0 if t.feasible else 1

@@ -27,11 +27,13 @@ from .transform import ReductionReport, ShiftPlan, simultaneous_reduce
 from .trellis import build_code_trellis, build_error_trellis, enumerate_paths
 
 
-def _source(p: int, s: int, n_real: int) -> int:
-    """The 0-based position that window position p of a column shifted by
-    s reads: cyclic within the first n_real + |s| blocks, fixed after."""
+def _rotate(col: int, s: int, n_real: int) -> int:
+    """A column over time (bit p is block p + 1) shifted by s: cyclic
+    within its first n_real + |s| blocks, fixed after."""
     mod = n_real + abs(s)
-    return (p - s) % mod if p < mod else p
+    window = (1 << mod) - 1
+    low, r = col & window, s % (mod or 1)
+    return col ^ low ^ (low << r | low >> mod - r) & window
 
 
 def syndrome(z: BlockSequence, H: PolyMatrix) -> BlockSequence:
@@ -65,11 +67,8 @@ def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSeque
     if len(z) < need:
         raise ValueError(
             f"sequence has {len(z)} blocks, shift window needs {need}")
-    out = [[0] * z.block_width for _ in range(len(z))]
-    for j, s in enumerate(shifts, 1):
-        for p in range(len(z)):
-            out[p][j - 1] = z.bit(_source(p, s, n_real) + 1, j)
-    return BlockSequence(z.block_width, tuple(tuple(r) for r in out))
+    return from_columns(z.block_width, len(z), [
+        _rotate(col, s, n_real) for col, s in zip(columns(z), shifts)])
 
 
 def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
@@ -89,8 +88,11 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
         horizon = n_real + max(abs(s) for s in shifts)
     out = {}
     for j, s in enumerate(shifts, 1):
+        # every position from n_real on, far enough for any alias
+        pad = _rotate((1 << n_real + horizon + abs(s)) - (1 << n_real),
+                      s, n_real)
         for t in range(1, horizon + 1):
-            if _source(t - 1, s, n_real) >= n_real:
+            if pad >> t - 1 & 1:
                 out.setdefault(t, set()).add(j)
     return {t: frozenset(cols) for t, cols in sorted(out.items())}
 
@@ -155,15 +157,18 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
     if len(z) < n_real:
         raise ValueError(f"need {n_real} real blocks, got {len(z)}")
-    for t in range(n_real + 1, len(z) + 1):
-        if any(z[t - 1]):
-            raise ValueError(f"pad block {t} is nonzero")
+    w, pad_bits = z.block_width, (len(z) - n_real) * z.block_width
+    pad = z.bits & (1 << pad_bits) - 1
+    if pad:
+        # the first nonzero pad block holds the highest set bit
+        t = len(z) - (pad.bit_length() - 1) // w
+        raise ValueError(f"pad block {t} is nonzero")
 
     red = simultaneous_reduce(pair, plan)
     g_fin, h_fin = red.transformed_pair.G, red.transformed_pair.H
     window = n_real + _spill(plan.shifts, g_fin, h_fin)
 
-    z_pad = BlockSequence(z.block_width, z.blocks[:n_real]).padded(window)
+    z_pad = BlockSequence.packed(w, n_real, z.bits >> pad_bits).padded(window)
     z_sh = shift_received(z_pad, plan, n_real)
     zeta = syndrome(z_sh, h_fin)
     masks = boundary_masks(plan, n_real, horizon=window)

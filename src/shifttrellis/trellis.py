@@ -7,6 +7,10 @@ row's past inputs, oldest in the lowest bit.  For the syndrome former
 (observer form of H^T) the field holds the partial-sum cells, first cell in
 the lowest bit.  Paths never depend on this packing, only node names do.
 
+A branch label is one n-bit block packed as in blocks.py, column 1 most
+significant, so labels sort and break ties as their printed blocks do, and
+a label's weight is its count of ones.
+
 Sections are explicit branch sets because reduced trellises are
 time-varying: shifting makes some label bits inadmissible near the
 boundaries, and those constraints arrive here as per-section masks.  Apart
@@ -28,12 +32,12 @@ per section and the forward pass reads only the branches of tied states.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, index
 from typing import NamedTuple
 
-from .blocks import BlockSequence, pack_bits
+from .blocks import BlockSequence
 from .gf2poly import (
     PolyMatrix,
     exponents,
@@ -54,7 +58,7 @@ _INF = float("inf")
 class Branch(NamedTuple):
     from_state: int
     to_state: int
-    label: tuple
+    label: int
 
 
 @dataclass(frozen=True)
@@ -76,27 +80,32 @@ class Trellis:
 
 
 def _row_layout(M: PolyMatrix):
-    """Per row: its register field's offset and width, and the tap
-    exponents of each entry."""
+    """Per row: its register field's offset and width, and per delay d the
+    packed block of the columns whose entry has a D^d term."""
     info = []
     off = 0
     for i in range(1, M.rows + 1):
         nu = row_degree(M, i)
-        info.append((off, nu, [exponents(e) for e in M.row(i)]))
+        taps = [0] * (nu + 1)
+        for j, e in enumerate(M.row(i), 1):
+            for d in exponents(e):
+                taps[d] |= 1 << M.cols - j
+        info.append((off, nu, taps))
         off += nu
     return info
 
 
 def _norm_masks(masks, horizon, n):
+    """Per 1-based section, the packed block of its forced-zero columns."""
     out = {}
     for t, cols in (masks or {}).items():
-        cols = frozenset(int(c) for c in cols)
+        t, cols = index(t), sorted(set(map(index, cols)))
         if not 1 <= t <= horizon:
             raise ValueError(f"mask section {t} outside 1..{horizon}")
         if any(not 1 <= c <= n for c in cols):
-            raise ValueError(f"mask columns {sorted(cols)} outside 1..{n}")
+            raise ValueError(f"mask columns {cols} outside 1..{n}")
         if cols:
-            out[t] = cols
+            out[t] = sum(1 << n - c for c in cols)
     return out
 
 
@@ -166,28 +175,25 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
     free_until = horizon - mem
 
     def step(state, inputs):
-        label = [0] * n
-        new_state = 0
+        # Row i's register holds its input (bit i of inputs) above its
+        # field, so bit nu - d is the input d sections ago.
+        label = new_state = 0
         for i, (off, nu, taps) in enumerate(layout):
-            fld = state >> off & (1 << nu) - 1
-            u = inputs[i]
-            hist = [u] + [fld >> (nu - d) & 1 for d in range(1, nu + 1)]
-            for j, ds in enumerate(taps):
-                for d in ds:
-                    label[j] ^= hist[d]
-            if nu:
-                new_state |= ((fld >> 1) | (u << (nu - 1))) << off
-        return new_state, tuple(label)
+            reg = (inputs >> i & 1) << nu | state >> off & (1 << nu) - 1
+            for d, cols in enumerate(taps):
+                if reg >> nu - d & 1:
+                    label ^= cols
+            new_state |= reg >> 1 << off
+        return new_state, label
 
     def key_of(t):
-        return t <= free_until, masks.get(t, frozenset())
+        return t <= free_until, masks.get(t, 0)
 
     def branches_for(key, state):
         free, forced = key
-        for inputs in (itertools.product((0, 1), repeat=k) if free
-                       else ((0,) * k,)):
+        for inputs in range(1 << k if free else 1):
             ns, label = step(state, inputs)
-            if not any(label[j - 1] for j in forced):
+            if not label & forced:
                 yield ns, label
 
     return _sweep(horizon, n, overall_constraint_length(G), k,
@@ -219,44 +225,33 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     layout = _row_layout(H)
     masks = _norm_masks(masks, horizon, n)
 
-    def step(state, e_bits):
-        out = []
-        new_state = 0
+    def step(state, e):
+        # Cell d of a row's register gains the parity of the errors on its
+        # D^d taps; cell 0 leaves as the row's syndrome bit, row 1 first.
+        out = new_state = 0
         for off, nu, taps in layout:
-            fld = state >> off & (1 << nu) - 1
-            hit = [0] * (nu + 1)
-            for j, ds in enumerate(taps):
-                if e_bits[j]:
-                    for d in ds:
-                        hit[d] ^= 1
-            out.append((fld & 1 if nu else 0) ^ hit[0])
-            nf = 0
-            for r in range(1, nu + 1):
-                s_next = fld >> r & 1 if r < nu else 0
-                nf |= (s_next ^ hit[r]) << (r - 1)
-            new_state |= nf << off
-        return new_state, tuple(out)
+            reg = state >> off & (1 << nu) - 1
+            for d, cols in enumerate(taps):
+                reg ^= (bin(e & cols).count("1") & 1) << d
+            out = out << 1 | reg & 1
+            new_state |= reg >> 1 << off
+        return new_state, out
 
-    flush = frozenset(range(1, n + 1))
+    flush = (1 << n) - 1
     # (forced columns, state) -> every (next state, output, error label);
     # step does not depend on the syndrome block, which only filters.
     table = {}
 
     def key_of(t):
-        return (syndrome[t - 1],
-                flush if t > n_real else masks.get(t, frozenset()))
+        return (syndrome.block(t - 1),
+                flush if t > n_real else masks.get(t, 0))
 
     def branches_for(key, state):
         want, forced = key
         moves = table.get((forced, state))
         if moves is None:
-            free = [j for j in range(1, n + 1) if j not in forced]
-            moves = table[forced, state] = []
-            for bits in itertools.product((0, 1), repeat=len(free)):
-                e = [0] * n
-                for j, b in zip(free, bits):
-                    e[j - 1] = b
-                moves.append((*step(state, e), tuple(e)))
+            moves = table[forced, state] = [
+                (*step(state, e), e) for e in range(1 << n) if not e & forced]
         return [(ns, e) for ns, out, e in moves if out == want]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
@@ -280,17 +275,14 @@ def enumerate_paths(trellis: Trellis):
             f"too many paths: {counts[0]} exceeds {MAX_PATHS}")
     # Prefixes are packed ints (see blocks.py): appending a label is one
     # shift and or, and the int order is the order of the label sequences.
-    n, codes = trellis.n, {}
+    n = trellis.n
     paths = {0: [0]}
     for sec in trellis.sections:
         nxt = {}
         for s, ns, label in sec:
             prefs = paths.get(s)
             if prefs:
-                code = codes.get(label)
-                if code is None:
-                    code = codes[label] = pack_bits(label)
-                nxt.setdefault(ns, []).extend([p << n | code for p in prefs])
+                nxt.setdefault(ns, []).extend([p << n | label for p in prefs])
         paths = nxt
     return [BlockSequence.packed(n, trellis.horizon, p)
             for p in sorted(paths.get(0, []))]
@@ -321,22 +313,22 @@ def min_weight_path(trellis: Trellis):
     to_go = [None] * len(sections) + [{0: 0}]
     for t in range(len(sections) - 1, -1, -1):
         froms, tos, ws, width, _ = layout[t]
-        ends = map(to_go[t + 1].get, tos, itertools.repeat(_INF))
+        ends = map(to_go[t + 1].get, tos, repeat(_INF))
         costs = list(map(add, ends, ws))
         to_go[t] = dict(zip(froms, map(min, *[costs[k::width]
                                                for k in range(width)])))
     weight = left = to_go[0].get(0, _INF)
     if weight == _INF:
         raise ValueError("no admissible path")
-    states, labels = {0}, []
+    n, states, bits = trellis.n, {0}, 0
     for (*_, moves), after in zip(layout, to_go[1:]):
         tied = [(label, ns) for s in states for ns, w, label in moves[s]
                 if w + after.get(ns, _INF) == left]
         best = min(label for label, _ in tied)
         states = {s for label, s in tied if label == best}
-        labels.append(best)
-        left -= sum(best)
-    return BlockSequence(trellis.n, tuple(labels)), weight
+        bits = bits << n | best
+        left -= bin(best).count("1")
+    return BlockSequence.packed(n, trellis.horizon, bits), weight
 
 
 def _by_state(sec):
@@ -349,7 +341,7 @@ def _by_state(sec):
     """
     moves = {}
     for s, ns, label in sec:
-        moves.setdefault(s, []).append((ns, sum(label), label))
+        moves.setdefault(s, []).append((ns, bin(label).count("1"), label))
     width = max(2, max(map(len, moves.values()), default=0))
     tos, ws = [], []
     for group in moves.values():
@@ -379,7 +371,7 @@ def trellis_dot(trellis: Trellis) -> str:
         lines.extend(f'  "{node(k, s)}";' for s in sorted(ss))
     for k, sec in enumerate(trellis.sections):
         for b in sorted(sec):
-            lbl = "".join(str(x) for x in b.label)
+            lbl = format(b.label, f"0{trellis.n}b")
             lines.append(
                 f'  "{node(k, b.from_state)}" -> '
                 f'"{node(k + 1, b.to_state)}" [label="{lbl}"];')

@@ -7,6 +7,7 @@ full admissible sets at the horizons the tests use.
 """
 
 from shifttrellis import (
+    BlockSequence,
     GHPair,
     make_type1_plan,
     make_type2_plan,
@@ -21,6 +22,11 @@ def pair(g, h):
 
 def blocks(text, width=None):
     return parse_blocks(text, width=width)
+
+
+def label_bits(label, n):
+    """A branch label, one packed n-bit block, as a tuple of bits."""
+    return BlockSequence.packed(n, 1, label)[0]
 
 
 # Backward-shift showcase: every column of the reciprocal dual of H has a

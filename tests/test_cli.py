@@ -235,12 +235,14 @@ def test_verify_json(files, capsys):
 
 
 @pytest.mark.parametrize("argv", [("decode", "h", "z"),
-                                  ("verify", "g", "h", "z", "--plan", "plan")])
+                                  ("verify", "g", "h", "z", "--plan", "plan"),
+                                  ("error-trellis", "h", "zeta")])
 def test_n_blocks_above_given_is_a_usage_error(files, capsys, argv):
+    given = 5 if "zeta" in argv else 4
     args = [files.get(a, a) for a in argv]
-    rc, out, err = run(capsys, *args, "--n-blocks", "5")
+    rc, out, err = run(capsys, *args, "--n-blocks", str(given + 1))
     assert (rc, out) == (2, "")
-    assert err == "error: --n-blocks 5 but 4 blocks given\n"
+    assert err == f"error: --n-blocks {given + 1} but {given} blocks given\n"
 
 
 def test_oracle(files, capsys):

@@ -1,21 +1,27 @@
 """The decode path against the earlier per-branch and per-bit code.
 
-reference_sweep, reference_min_weight_path and reference_syndrome below
-are those versions, kept as references: reference_sweep builds every
-section branch by branch and prunes it with one Python loop per section,
+reference_sweep, reference_code_trellis, reference_error_trellis,
+reference_min_weight_path and reference_syndrome below are those versions,
+kept as references: reference_sweep builds every section branch by branch
+and prunes it with one Python loop per section, the two reference builders
+give each label as a tuple of bits, xored bit by bit from each entry's tap
+exponents, over inputs and errors drawn from itertools.product,
 reference_min_weight_path relaxes every branch of every section in
 Python, and reference_syndrome reads the received word one bit at a time.
-Both builders run once with the shared-section sweep and once with
-reference_sweep patched in, on random code and error trellises with
-masks (the matrix and mask generators of test_min_weight_property) at
-horizons up to 40, past the oracle's limit, and on TIE_PAIR; the sections
-must be equal tuples.  min_weight_path must return the identical
-(sequence, weight) or refuse the same inputs, also on hand-built
-trellises whose sections are lists, some empty, some repeated, with
-states of unequal branch counts.
+Both builders must give the same trellis with the shared-section sweep,
+with reference_sweep patched in, and as the reference builders give it
+once every label is packed, on random code and error trellises with masks
+(the matrix and mask generators of test_min_weight_property) at horizons
+up to 40, past the oracle's limit, and on TIE_PAIR; the sections must be
+equal tuples.  min_weight_path must return the identical (sequence,
+weight) or refuse the same inputs, also on hand-built trellises whose
+sections are lists, some empty, some repeated, with states of unequal
+branch counts.
 """
 
+import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -32,12 +38,14 @@ from shifttrellis import (
     exponents,
     memory,
     min_weight_path,
+    overall_constraint_length,
     random_feasible_syndrome,
+    row_degree,
     syndrome,
     trellis,
 )
 from shifttrellis.trellis import MAX_TRELLIS_WORK
-from pairs import TIE_PAIR, blocks
+from pairs import TIE_PAIR, blocks, label_bits
 from test_min_weight_property import SETTINGS, masks, matrices
 
 MAX_HORIZON = 40
@@ -72,8 +80,109 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
     return Trellis(n, horizon, state_bits, tuple(sections), feasible)
 
 
+def reference_row_layout(M):
+    info = []
+    off = 0
+    for i in range(1, M.rows + 1):
+        nu = row_degree(M, i)
+        info.append((off, nu, [exponents(e) for e in M.row(i)]))
+        off += nu
+    return info
+
+
+def reference_code_trellis(G, horizon, masks=None):
+    layout = reference_row_layout(G)
+    k, n = G.rows, G.cols
+    masks = masks or {}
+    free_until = horizon - memory(G)
+
+    def step(state, inputs):
+        label = [0] * n
+        new_state = 0
+        for i, (off, nu, taps) in enumerate(layout):
+            fld = state >> off & (1 << nu) - 1
+            u = inputs[i]
+            hist = [u] + [fld >> (nu - d) & 1 for d in range(1, nu + 1)]
+            for j, ds in enumerate(taps):
+                for d in ds:
+                    label[j] ^= hist[d]
+            if nu:
+                new_state |= ((fld >> 1) | (u << (nu - 1))) << off
+        return new_state, tuple(label)
+
+    def key_of(t):
+        return t <= free_until, frozenset(masks.get(t, ()))
+
+    def branches_for(key, state):
+        free, forced = key
+        for inputs in (itertools.product((0, 1), repeat=k) if free
+                       else ((0,) * k,)):
+            ns, label = step(state, inputs)
+            if not any(label[j - 1] for j in forced):
+                yield ns, label
+
+    return reference_sweep(horizon, n, overall_constraint_length(G), k,
+                           key_of, branches_for)
+
+
+def reference_error_trellis(H, syndrome, n_real=None, masks=None):
+    n = H.cols
+    horizon = len(syndrome)
+    if n_real is None:
+        n_real = horizon - memory(H)
+    layout = reference_row_layout(H)
+    masks = masks or {}
+
+    def step(state, e_bits):
+        out = []
+        new_state = 0
+        for off, nu, taps in layout:
+            fld = state >> off & (1 << nu) - 1
+            hit = [0] * (nu + 1)
+            for j, ds in enumerate(taps):
+                if e_bits[j]:
+                    for d in ds:
+                        hit[d] ^= 1
+            out.append((fld & 1 if nu else 0) ^ hit[0])
+            nf = 0
+            for r in range(1, nu + 1):
+                s_next = fld >> r & 1 if r < nu else 0
+                nf |= (s_next ^ hit[r]) << (r - 1)
+            new_state |= nf << off
+        return new_state, tuple(out)
+
+    flush = frozenset(range(1, n + 1))
+
+    def key_of(t):
+        return (syndrome[t - 1],
+                flush if t > n_real else frozenset(masks.get(t, ())))
+
+    def branches_for(key, state):
+        want, forced = key
+        free = [j for j in range(1, n + 1) if j not in forced]
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            e = [0] * n
+            for j, b in zip(free, bits):
+                e[j - 1] = b
+            ns, out = step(state, e)
+            if out == want:
+                yield ns, tuple(e)
+
+    return reference_sweep(horizon, n, overall_constraint_length(H), n,
+                           key_of, branches_for)
+
+
+def packed_labels(t):
+    """t with each tuple label packed into one int, as blocks.py packs."""
+    return replace(t, sections=tuple(
+        tuple(Branch(s, ns, BlockSequence(t.n, [label]).bits)
+              for s, ns, label in sec)
+        for sec in t.sections))
+
+
 def reference_min_weight_path(trellis):
-    sections = trellis.sections
+    sections = [[(s, ns, label_bits(label, trellis.n))
+                 for s, ns, label in sec] for sec in trellis.sections]
     to_go = [{} for _ in sections] + [{0: 0}]
     for t in range(len(sections) - 1, -1, -1):
         after, here = to_go[t + 1], to_go[t]
@@ -128,13 +237,18 @@ def check_decode(t):
     assert type(got[1]) is int
 
 
-def check_build(build, *args, **kwargs):
-    """The builder gives the same trellis with either sweep; then decode."""
+def check_build(build, reference, *args, **kwargs):
+    """The builder gives the same trellis with either sweep, and the one
+    the tuple-label reference gives once its labels are packed; then
+    decode."""
     t = build(*args, **kwargs)
     with mock.patch.object(trellis, "_sweep", reference_sweep):
         ref = build(*args, **kwargs)
     assert t.sections == ref.sections
     assert t == ref
+    old = packed_labels(reference(*args, **kwargs))
+    assert t.sections == old.sections
+    assert t == old
     check_decode(t)
 
 
@@ -150,7 +264,8 @@ def test_error_trellis_matches_reference(data):
         flip = 1 << rng.randrange(H.rows * len(zeta))
         zeta = BlockSequence.packed(H.rows, len(zeta), zeta.bits ^ flip)
     mask = masks(data.draw, len(zeta), H.cols)
-    check_build(build_error_trellis, H, zeta, n_real=n_real, masks=mask)
+    check_build(build_error_trellis, reference_error_trellis, H, zeta,
+                n_real=n_real, masks=mask)
 
 
 @SETTINGS
@@ -159,13 +274,15 @@ def test_code_trellis_matches_reference(data):
     G = data.draw(matrices())
     horizon = data.draw(st.integers(memory(G), MAX_HORIZON))
     mask = masks(data.draw, horizon, G.cols)
-    check_build(build_code_trellis, G, horizon, masks=mask)
+    check_build(build_code_trellis, reference_code_trellis, G, horizon,
+                masks=mask)
 
 
 def test_tie_pair_matches_reference():
-    check_build(build_code_trellis, TIE_PAIR.G, 5)
+    check_build(build_code_trellis, reference_code_trellis, TIE_PAIR.G, 5)
     z = blocks("10 11 01 00 11 10")
-    check_build(build_error_trellis, TIE_PAIR.H, syndrome(z, TIE_PAIR.H))
+    check_build(build_error_trellis, reference_error_trellis, TIE_PAIR.H,
+                syndrome(z, TIE_PAIR.H))
 
 
 @st.composite
@@ -175,7 +292,7 @@ def hand_built(draw):
     branches and states of 1 to 4 branches all occur."""
     n = draw(st.integers(1, 3))
     branch = st.builds(Branch, st.integers(0, 3), st.integers(0, 3),
-                       st.tuples(*[st.integers(0, 1)] * n))
+                       st.integers(0, (1 << n) - 1))
     pool = draw(st.lists(st.lists(branch, max_size=10), min_size=1,
                          max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
@@ -190,20 +307,19 @@ def test_hand_built_trellis_decodes_like_reference(t):
 
 def test_hand_built_corner_cases():
     # an empty section: nothing gets through
-    check_decode(Trellis(1, 2, 1, ([Branch(0, 0, (0,))], [])))
+    check_decode(Trellis(1, 2, 1, ([Branch(0, 0, 0)], [])))
     with pytest.raises(ValueError, match="no admissible path"):
         min_weight_path(Trellis(1, 1, 0, ([],)))
     # every state with a single branch
-    single = Trellis(1, 2, 1, ([Branch(0, 1, (1,))], [Branch(1, 0, (0,))]))
+    single = Trellis(1, 2, 1, ([Branch(0, 1, 1)], [Branch(1, 0, 0)]))
     check_decode(single)
     assert min_weight_path(single) == (blocks("1 0"), 1)
     # state 0 with three branches and state 1 with one in the same
     # section, so state 1's group is padded
     mixed = Trellis(1, 3, 1, (
-        [Branch(0, 0, (0,)), Branch(0, 1, (1,))],
-        [Branch(0, 0, (1,)), Branch(0, 1, (0,)), Branch(0, 0, (0,)),
-         Branch(1, 0, (1,))],
-        [Branch(0, 0, (1,)), Branch(1, 0, (0,))],
+        [Branch(0, 0, 0), Branch(0, 1, 1)],
+        [Branch(0, 0, 1), Branch(0, 1, 0), Branch(0, 0, 0), Branch(1, 0, 1)],
+        [Branch(0, 0, 1), Branch(1, 0, 0)],
     ))
     check_decode(mixed)
     assert min_weight_path(mixed) == (blocks("0 0 0"), 0)

@@ -1,8 +1,8 @@
 """enumerate_paths against the earlier tuple-prefix enumeration.
 
 reference_paths below is that enumeration, kept as the reference: every
-prefix a tuple of label tuples, extended by copying, the result sorted by
-its blocks.  On random code and error trellises with masks (the generators
+prefix a tuple of labels unpacked to bit tuples, extended by copying, the
+result sorted by its blocks.  On random code and error trellises with masks (the generators
 of test_min_weight_property), on TIE_PAIR, whose code trellis has two
 branches with one label at every state, and on a code whose label
 sequences repeat, the packed enumeration must return the same list: same
@@ -23,7 +23,7 @@ from shifttrellis import (
     random_feasible_syndrome,
     syndrome,
 )
-from pairs import TIE_PAIR, blocks
+from pairs import TIE_PAIR, blocks, label_bits
 from test_min_weight_property import SETTINGS, masks, matrices
 
 
@@ -33,7 +33,8 @@ def reference_paths(trellis):
         nxt = {}
         for b in sec:
             for pref in paths.get(b.from_state, ()):
-                nxt.setdefault(b.to_state, []).append(pref + (b.label,))
+                nxt.setdefault(b.to_state, []).append(
+                    pref + (label_bits(b.label, trellis.n),))
         paths = nxt
     return sorted(paths.get(0, []))
 

@@ -122,6 +122,36 @@ def test_boundary_masks_advance():
     assert boundary_masks(plan, 4) == {4: frozenset({3}), 5: frozenset({1, 2})}
 
 
+def reference_source(p, s, n_real):
+    """The 0-based position that window position p of a column shifted by
+    s reads: cyclic within the first n_real + |s| blocks, fixed after."""
+    mod = n_real + abs(s)
+    return (p - s) % mod if p < mod else p
+
+
+def test_shifts_match_per_position_reference():
+    """shift_received and boundary_masks rotate whole columns; the earlier
+    per-bit loops over reference_source give the same results, also for
+    n_real 0, horizons below n_real and sequences longer than the window."""
+    rng = random.Random(31)
+    for _ in range(300):
+        plan = random_csr_plan(rng, 3)
+        n_real = rng.randrange(7)
+        horizon = rng.randrange(15)
+        want = {}
+        for j, s in enumerate(plan.shifts, 1):
+            for t in range(1, horizon + 1):
+                if reference_source(t - 1, s, n_real) >= n_real:
+                    want.setdefault(t, set()).add(j)
+        assert boundary_masks(plan, n_real, horizon) == {
+            t: frozenset(cols) for t, cols in want.items()}
+        need = n_real + max(abs(s) for s in plan.shifts) + rng.randrange(3)
+        z = random_word(rng, 3, need)
+        assert shift_received(z, plan, n_real) == BlockSequence(3, [
+            [z.bit(reference_source(p, s, n_real) + 1, j)
+             for j, s in enumerate(plan.shifts, 1)] for p in range(need)])
+
+
 def test_reconstruct_code_paths():
     got = reconstruct_code_paths(Z_MAIN_SHIFTED, E_MAIN_RED)
     assert tuple(got) == Y_MAIN_RED

@@ -154,7 +154,7 @@ def test_error_trellis_work_cap():
 
 def test_enumerate_paths_cap():
     # two parallel branches per section: 2^17 paths, counted, not listed
-    sec = (Branch(0, 0, (0,)), Branch(0, 0, (1,)))
+    sec = (Branch(0, 0, 0), Branch(0, 0, 1))
     t = Trellis(1, 17, 0, (sec,) * 17)
     tracemalloc.start()
     try:
@@ -182,6 +182,11 @@ def test_mask_validation():
         build_code_trellis(G_MAIN, 5, masks={9: {1}})
     with pytest.raises(ValueError, match=r"mask columns \[4\]"):
         build_code_trellis(G_MAIN, 5, masks={1: {4}})
+    # a section or column number must be an integer, not one rounded down
+    with pytest.raises(TypeError):
+        build_code_trellis(G_MAIN, 5, masks={1.5: {1}})
+    with pytest.raises(TypeError):
+        build_code_trellis(G_MAIN, 5, masks={1: {1.7}})
 
 
 def test_min_weight_path():
@@ -209,8 +214,8 @@ def test_min_weight_path_follows_every_tied_state():
     # state 0 has two branches labelled 00, and both ends finish at weight
     # 1; the smaller finish 01 is only reachable from state 2
     t = Trellis(2, 2, 2, (
-        (Branch(0, 1, (0, 0)), Branch(0, 2, (0, 0))),
-        (Branch(1, 0, (1, 0)), Branch(2, 0, (0, 1))),
+        (Branch(0, 1, 0b00), Branch(0, 2, 0b00)),
+        (Branch(1, 0, 0b10), Branch(2, 0, 0b01)),
     ))
     e, w = min_weight_path(t)
     assert (format_blocks(e), w) == ("00 01", 1)
