@@ -59,6 +59,7 @@ from .trellis import (
     Trellis,
     build_code_trellis,
     build_error_trellis,
+    count_paths,
     enumerate_paths,
     min_weight_path,
     trellis_dot,

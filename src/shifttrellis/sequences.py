@@ -59,6 +59,8 @@ def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSeque
     they ride one clock under an admissible plan.  The shift is invertible:
     shifting the result by plan.inverted() gives z back.
     """
+    if n_real < 0:
+        raise ValueError(f"negative n_real {n_real}")
     shifts = plan.shifts
     if len(shifts) != z.block_width:
         raise ValueError(
@@ -83,6 +85,8 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
     side and the error side.  The horizon defaults to n_real plus the
     largest shift magnitude, which makes the identity plan's masks empty.
     """
+    if n_real < 0:
+        raise ValueError(f"negative n_real {n_real}")
     shifts = plan.shifts
     if horizon is None:
         horizon = n_real + max(abs(s) for s in shifts)
@@ -151,10 +155,13 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     both flushes after them (see _spill).  It passes when the reduced
     code-trellis paths coincide, as a set, with the shifted received data
     xor each reduced error-trellis path; that equality is exactly the
-    path-level statement of simultaneous reduction.  On failure the report carries the symmetric difference.
+    path-level statement of simultaneous reduction.  On failure the report
+    carries the symmetric difference.
     """
     if z.block_width != pair.n:
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
+    if n_real < 0:
+        raise ValueError(f"negative n_real {n_real}")
     if len(z) < n_real:
         raise ValueError(f"need {n_real} real blocks, got {len(z)}")
     w, pad_bits = z.block_width, (len(z) - n_real) * z.block_width

@@ -23,11 +23,8 @@ every section equal to one built earlier is that same tuple object.  Both
 builders refuse, before any work, a trellis whose states x sections x
 branches per state exceed MAX_TRELLIS_WORK.
 
-min_weight_path decodes in two passes, a backward cost-to-go pass and a
-forward pass over the states tied on the best prefix, and returns exactly
-the minimum of (weight, label sequence).  It groups each distinct section's
-branches by from-state once, so the backward pass is a few C-level maps
-per section and the forward pass reads only the branches of tied states.
+count_paths and min_weight_path share one backward pass, a few C-level
+maps per distinct section, run in the (+, x) and the (min, +) semiring.
 """
 
 from __future__ import annotations
@@ -264,15 +261,9 @@ def enumerate_paths(trellis: Trellis):
     The paths are counted first, and more than MAX_PATHS are refused
     before any is listed.
     """
-    counts = {0: 1}
-    for sec in trellis.sections:
-        nxt = dict.fromkeys((b.to_state for b in sec), 0)
-        for s, ns, _ in sec:
-            nxt[ns] += counts.get(s, 0)
-        counts = nxt
-    if counts.get(0, 0) > MAX_PATHS:
-        raise ValueError(
-            f"too many paths: {counts[0]} exceeds {MAX_PATHS}")
+    count = count_paths(trellis)
+    if count > MAX_PATHS:
+        raise ValueError(f"too many paths: {count} exceeds {MAX_PATHS}")
     # Prefixes are packed ints (see blocks.py): appending a label is one
     # shift and or, and the int order is the order of the label sequences.
     n = trellis.n
@@ -300,23 +291,7 @@ def min_weight_path(trellis: Trellis):
     because one state may have two branches with the same label, so equal
     prefixes can reach different states.
     """
-    sections = trellis.sections
-    # Sections are grouped once per distinct object; every one stays
-    # referenced by the trellis, so its id is a key.
-    grouped = {}
-    layout = []
-    for sec in sections:
-        g = grouped.get(id(sec))
-        if g is None:
-            g = grouped[id(sec)] = _by_state(sec)
-        layout.append(g)
-    to_go = [None] * len(sections) + [{0: 0}]
-    for t in range(len(sections) - 1, -1, -1):
-        froms, tos, ws, width, _ = layout[t]
-        ends = map(to_go[t + 1].get, tos, repeat(_INF))
-        costs = list(map(add, ends, ws))
-        to_go[t] = dict(zip(froms, map(min, *[costs[k::width]
-                                               for k in range(width)])))
+    layout, to_go = _backward(trellis.sections, 0, _INF, min)
     weight = left = to_go[0].get(0, _INF)
     if weight == _INF:
         raise ValueError("no admissible path")
@@ -331,24 +306,48 @@ def min_weight_path(trellis: Trellis):
     return BlockSequence.packed(n, trellis.horizon, bits), weight
 
 
-def _by_state(sec):
-    """One section's branches grouped by from-state for min_weight_path.
+def count_paths(trellis: Trellis) -> int:
+    """Exact number of paths from state 0 to state 0 at the end; a state's
+    two branches with one label are two paths, as enumerate_paths lists."""
+    return _backward(trellis.sections, 1, 0, add)[1][0].get(0, 0)
 
-    Returns the from-states; flat lists of to-states and label weights,
-    state by state, each state's group padded to `width` entries by a dead
-    branch of infinite cost; width, at least 2 so that map(min, ...) always
-    gets two arguments; and per from-state its (to, weight, label) list.
+
+def _backward(sections, end, dead, plus):
+    """Per time index, each state's value over its paths to state 0 at the
+    end, in the semiring of plus: min adds each label's weight, add does
+    not; end is the empty path's value, dead a missing branch's.  Also the
+    _by_state layout per section, one per distinct section object."""
+    distinct = {id(sec): sec for sec in sections}
+    grouped = {key: _by_state(sec) for key, sec in distinct.items()}
+    layout = [grouped[id(sec)] for sec in sections]
+    values = [None] * len(sections) + [{0: end}]
+    for t in range(len(sections) - 1, -1, -1):
+        tos, ws, width, moves = layout[t]
+        ends = map(values[t + 1].get, tos, repeat(dead))
+        ends = list(map(add, ends, ws) if plus is min else ends)
+        folded = ends[::width]
+        for k in range(1, width):
+            folded = map(plus, folded, ends[k::width])
+        values[t] = dict(zip(moves, folded))
+    return layout, values
+
+
+def _by_state(sec):
+    """One section's branches grouped by from-state: flat lists of the
+    to-states and label weights, state by state, each state's group padded
+    to `width` entries by a dead branch to state None; width; and per
+    from-state its (to, weight, label) list, in first-seen order.
     """
     moves = {}
     for s, ns, label in sec:
         moves.setdefault(s, []).append((ns, bin(label).count("1"), label))
-    width = max(2, max(map(len, moves.values()), default=0))
+    width = max(map(len, moves.values()), default=1)
     tos, ws = [], []
     for group in moves.values():
         pad = width - len(group)
         tos.extend([ns for ns, _, _ in group] + [None] * pad)
-        ws.extend([w for _, w, _ in group] + [_INF] * pad)
-    return list(moves), tos, ws, width, moves
+        ws.extend([w for _, w, _ in group] + [0] * pad)
+    return tos, ws, width, moves
 
 
 def trellis_dot(trellis: Trellis) -> str:

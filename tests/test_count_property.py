@@ -1,0 +1,151 @@
+"""count_paths against the earlier forward count, the listings and brute force.
+
+reference_count below is the per-branch forward count that enumerate_paths
+ran before it called count_paths, kept as the reference.  On random code
+and error trellises with masks (the generators of
+test_min_weight_property), on the hand-built trellises of
+test_decode_property, whose sections are lists, some empty, some repeated,
+with states of unequal branch counts, and on TIE_PAIR, count_paths must
+give the same exact int.  Below the cap it is the length of
+enumerate_paths, and above it enumerate_paths refuses with that count.
+Within the oracle's horizon it is also the number of brute-force words,
+wherever no two paths carry one label sequence.
+"""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from shifttrellis import (
+    BlockSequence,
+    Trellis,
+    brute_codewords,
+    brute_errors,
+    build_code_trellis,
+    build_error_trellis,
+    count_paths,
+    enumerate_paths,
+    full_row_rank,
+    memory,
+    parse_matrix,
+    random_feasible_syndrome,
+    syndrome,
+)
+from shifttrellis.trellis import MAX_PATHS
+from pairs import TIE_PAIR, blocks
+from test_decode_property import hand_built
+from test_golden import K7_PAIR
+from test_min_weight_property import SETTINGS, masks, matrices
+
+
+def reference_count(trellis):
+    counts = {0: 1}
+    for sec in trellis.sections:
+        nxt = dict.fromkeys((b.to_state for b in sec), 0)
+        for s, ns, _ in sec:
+            nxt[ns] += counts.get(s, 0)
+        counts = nxt
+    return counts.get(0, 0)
+
+
+def check(trellis, words=None):
+    """count_paths equals the reference count and the listing's length,
+    or the listing refuses it; and the brute-force word count if given."""
+    count = count_paths(trellis)
+    assert type(count) is int
+    assert count == reference_count(trellis)
+    if count <= MAX_PATHS:
+        assert count == len(enumerate_paths(trellis))
+    else:
+        with pytest.raises(ValueError, match=(
+                f"^too many paths: {count} exceeds {MAX_PATHS}$")):
+            enumerate_paths(trellis)
+    if words is not None:
+        assert count == len(words)
+
+
+@SETTINGS
+@given(st.data())
+def test_error_trellis_count_matches_reference(data):
+    H = data.draw(matrices())
+    n_real = data.draw(st.integers(0, 3))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    zeta = random_feasible_syndrome(H, n_real, rng)
+    if len(zeta) and data.draw(st.booleans()):
+        # one flipped syndrome bit, often infeasible
+        flip = 1 << rng.randrange(H.rows * len(zeta))
+        zeta = BlockSequence.packed(H.rows, len(zeta), zeta.bits ^ flip)
+    mask = masks(data.draw, len(zeta), H.cols)
+    # The syndrome former's state follows from the errors alone, so every
+    # error sequence is one path.
+    check(build_error_trellis(H, zeta, n_real=n_real, masks=mask),
+          brute_errors(H, zeta, n_real=n_real, masks=mask))
+
+
+@SETTINGS
+@given(st.data())
+def test_code_trellis_count_matches_reference(data):
+    G = data.draw(matrices())
+    horizon = memory(G) + data.draw(st.integers(0, 3))
+    mask = masks(data.draw, horizon, G.cols)
+    trellis = build_code_trellis(G, horizon, masks=mask)
+    words = [y for y in brute_codewords(G, horizon)
+             if not any(y.bit(t, j) for t, cols in mask.items() for j in cols)]
+    if full_row_rank(G):
+        # distinct inputs give distinct codewords, so paths are words
+        check(trellis, words)
+    else:
+        check(trellis)
+        assert count_paths(trellis) >= len(words)
+
+
+@SETTINGS
+@given(hand_built())
+def test_hand_built_trellis_counts_like_reference(t):
+    check(t)
+
+
+def test_tie_pair_counts():
+    check(build_code_trellis(TIE_PAIR.G, 5), brute_codewords(TIE_PAIR.G, 5))
+    zeta = syndrome(blocks("10 11 01 00 11 10"), TIE_PAIR.H)
+    check(build_error_trellis(TIE_PAIR.H, zeta),
+          brute_errors(TIE_PAIR.H, zeta))
+
+
+def test_repeated_label_sequences_count_with_multiplicity():
+    # Row 2's input never reaches a label: 4 words, each on 4 paths.
+    G = parse_matrix("D,D+D^2;0,0")
+    code = build_code_trellis(G, 4)
+    check(code)
+    assert count_paths(code) == 16 == 4 * len(brute_codewords(G, 4))
+
+
+def test_infeasible_syndrome_and_empty_horizon():
+    # With n_real 0 every error bit of H = (1+D, 1) is flushed, so only
+    # the zero syndrome can be produced.
+    infeasible = build_error_trellis(TIE_PAIR.H, blocks("1"), n_real=0)
+    assert not infeasible.feasible
+    check(infeasible, [])
+    empty = [BlockSequence.zero(2, 0)]
+    check(Trellis(2, 0, 0, ()), empty)
+    check(build_code_trellis(parse_matrix("1,1"), 0), empty)
+    check(build_error_trellis(TIE_PAIR.H, BlockSequence.zero(1, 0),
+                              n_real=0), empty)
+
+
+def test_k7_code_and_error_trellis_counts_at_n200():
+    """Both trellises of the K=7 (171,133) code over 200 blocks list its
+    2^194 terminated codewords, and the listing is refused up front:
+    listing even 30 sections would hold 2^24 prefixes.  The error side
+    leaves all 200 blocks free; ending in state 0 drains the syndrome
+    former, so the errors of zero syndrome are exactly those codewords."""
+    code = build_code_trellis(K7_PAIR.G, 200)
+    assert count_paths(code) == 2**194
+    err = build_error_trellis(K7_PAIR.H, BlockSequence.zero(1, 200),
+                              n_real=200)
+    assert count_paths(err) == 2**194
+    with pytest.raises(ValueError, match=(
+            f"^too many paths: {2**194} exceeds 65536$")):
+        enumerate_paths(code)

@@ -211,6 +211,17 @@ def test_verify_input_checks():
             MAIN_PAIR, MAIN_PLAN, BlockSequence.zero(2, 4), 4)
 
 
+def test_negative_n_real_is_refused_by_name():
+    # Without the checks the first two failed as "negative shift count" in
+    # the cyclic shift and verify blamed pad block 1.
+    with pytest.raises(ValueError, match=r"^negative n_real -1$"):
+        shift_received(Z_MAIN, MAIN_PLAN, -1)
+    with pytest.raises(ValueError, match=r"^negative n_real -2$"):
+        boundary_masks(MAIN_PLAN, -2)
+    with pytest.raises(ValueError, match=r"^negative n_real -1$"):
+        verify_simultaneous_reduction(MAIN_PAIR, MAIN_PLAN, Z_MAIN, -1)
+
+
 def test_verify_syndrome_matches_either_side():
     rep = verify_simultaneous_reduction(MAIN_PAIR, MAIN_PLAN, Z_MAIN, 4)
     assert syndrome(rep.z_padded, H_MAIN) == rep.shifted_syndrome
