@@ -4,7 +4,10 @@ A sequence of L blocks of width w is stored as one int of w * L bits, read
 as its printed form "001 000 011 010 000" reads: the first block's first
 bit is the most significant.  Equality, hashing, xor and weight are then
 single int operations, and for sequences of one shape the int order is
-exactly the lexicographic order of the blocks as tuples of 0/1 ints.
+exactly the lexicographic order of the printed blocks.  A sequence is built
+from that int alone, BlockSequence(w, L, bits), and read as ints (bits,
+block, bit) or as text (parse_blocks, format_blocks); columns and
+from_columns convert to and from one polynomial over time per component.
 """
 
 from __future__ import annotations
@@ -18,44 +21,25 @@ from operator import and_, attrgetter, rshift
 @total_ordering
 @dataclass(frozen=True, init=False, repr=False)
 class BlockSequence:
-    """BlockSequence(width, blocks) packs an iterable of width-bit blocks;
-    BlockSequence.packed(width, length, bits) wraps an int already packed.
-    Sequences of different shapes are never equal and do not order: <
-    between them raises ValueError, as ^ does."""
+    """BlockSequence(width, length, bits) is the sequence of length blocks
+    of width bits whose packed form is bits.  Sequences of different
+    shapes are never equal and do not order: < between them raises
+    ValueError, as ^ does."""
 
     __slots__ = ("block_width", "length", "bits")
     block_width: int
     length: int
     bits: int
 
-    def __init__(self, block_width: int, blocks):
-        bits = length = 0
-        for blk in blocks:
-            blk = tuple(int(b) for b in blk)
-            if len(blk) != block_width or any(b not in (0, 1) for b in blk):
-                raise ValueError(f"block {blk} is not {block_width} bits")
-            for b in blk:
-                bits = bits << 1 | b
-            length += 1
+    def __init__(self, block_width: int, length: int, bits: int):
         _set_width(self, block_width)
         _set_length(self, length)
         _set_bits(self, bits)
         self.__post_init__()
 
-    @classmethod
-    def packed(cls, block_width: int, length: int,
-               bits: int) -> "BlockSequence":
-        """The sequence of length blocks whose packed form is bits."""
-        seq = object.__new__(cls)
-        _set_width(seq, block_width)
-        _set_length(seq, length)
-        _set_bits(seq, bits)
-        seq.__post_init__()
-        return seq
-
     def __post_init__(self):
-        """Range check, run once per construction by both constructors
-        (perfbench counts constructions by wrapping it)."""
+        """Range check, run once per construction (perfbench counts
+        constructions by wrapping it)."""
         if (self.block_width < 0 or self.length < 0
                 or not 0 <= self.bits < 1 << self.block_width * self.length):
             raise ValueError(
@@ -63,7 +47,8 @@ class BlockSequence:
                 f"{self.block_width} bits")
 
     def __repr__(self):
-        return f"BlockSequence({self.block_width}, {self.blocks!r})"
+        return (f"<BlockSequence {self.length}x{self.block_width}: "
+                f"{format_blocks(self)}>")
 
     def check_shape(self, other):
         """Raise ValueError unless other has this width and length."""
@@ -90,16 +75,6 @@ class BlockSequence:
         w = self.block_width
         return self.bits >> (self.length - 1 - i) * w & (1 << w) - 1
 
-    def __getitem__(self, k: int) -> tuple:
-        """Block k (0-based, negative from the end) as a tuple of bits."""
-        blk = self.block(k)
-        return tuple(blk >> i & 1 for i in range(self.block_width - 1, -1, -1))
-
-    @property
-    def blocks(self) -> tuple:
-        """Every block as a tuple of bits, unpacked afresh on each read."""
-        return tuple(self[k] for k in range(self.length))
-
     def bit(self, t: int, j: int) -> int:
         """Component j of the block at time t (both 1-based)."""
         w = self.block_width
@@ -112,23 +87,19 @@ class BlockSequence:
         if not isinstance(other, BlockSequence):
             return NotImplemented
         self.check_shape(other)
-        return BlockSequence.packed(self.block_width, self.length,
-                                    self.bits ^ other.bits)
+        return BlockSequence(self.block_width, self.length,
+                             self.bits ^ other.bits)
 
     @property
     def weight(self) -> int:
         return bin(self.bits).count("1")
-
-    @classmethod
-    def zero(cls, width: int, length: int) -> "BlockSequence":
-        return cls.packed(width, length, 0)
 
     def padded(self, length: int) -> "BlockSequence":
         """Extend with zero blocks up to the given length."""
         if length < self.length:
             raise ValueError(
                 f"cannot pad {self.length} blocks down to {length}")
-        return BlockSequence.packed(
+        return BlockSequence(
             self.block_width, length,
             self.bits << (length - self.length) * self.block_width)
 
@@ -151,7 +122,7 @@ def parse_blocks(text: str, width=None) -> BlockSequence:
     for k, part in enumerate(parts, 1):
         if len(part) != w:
             raise ValueError(f"block {k}: expected width {w}, got {len(part)}")
-    return BlockSequence.packed(w, len(parts), int("".join(parts), 2))
+    return BlockSequence(w, len(parts), int("".join(parts), 2))
 
 
 def columns(seq: BlockSequence) -> list:
@@ -167,7 +138,7 @@ def from_columns(width: int, length: int, polys) -> BlockSequence:
     the inverse of columns; terms from D^length on are dropped."""
     rows = [format(p & (1 << length) - 1, f"0{length}b")[::-1]
             for p in polys]
-    return BlockSequence.packed(
+    return BlockSequence(
         width, length, int("0" + "".join(map("".join, zip(*rows))), 2))
 
 

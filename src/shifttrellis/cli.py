@@ -53,6 +53,10 @@ from .trellis import (
 )
 
 
+# Most syndrome trials oracle runs; each holds one report line.
+MAX_TRIALS = 4096
+
+
 class _Fail(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -287,6 +291,9 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
+    if args.trials > MAX_TRIALS:
+        raise ValueError(
+            f"too many trials: {args.trials} exceeds {MAX_TRIALS}")
     pair, n = _pair(args.g, args.h), args.n_blocks
     rng = random.Random(args.seed)
 

@@ -8,7 +8,7 @@ sets is the strongest check the package has.
 
 from __future__ import annotations
 
-from .blocks import BlockSequence, format_blocks
+from .blocks import BlockSequence, format_blocks, from_columns
 from .gf2poly import PolyMatrix, exponents, memory, poly_mul
 
 
@@ -44,9 +44,7 @@ def brute_codewords(G: PolyMatrix, n_real: int):
                 u = word >> (i - 1) * steps & (1 << steps) - 1
                 acc ^= poly_mul(u, G.entry(i, j))
             ys.append(acc)
-        out.add(BlockSequence(
-            G.cols,
-            tuple(tuple(y >> t & 1 for y in ys) for t in range(n_real))))
+        out.add(from_columns(G.cols, n_real, ys))
     return sorted(out)
 
 
@@ -125,10 +123,9 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
             for k in exponents(row & (rhs_bit - 1) & ~(1 << c)):
                 x ^= val[k]
             val[c] = x
-        bits = [[0] * n for _ in range(horizon)]
-        for (t, j), k in index.items():
-            bits[t - 1][j - 1] = val[k]
-        out.add(BlockSequence(n, tuple(tuple(r) for r in bits)))
+        out.add(BlockSequence(n, horizon, sum(
+            val[k] << (horizon - t) * n + n - j
+            for (t, j), k in index.items())))
     return sorted(out)
 
 
@@ -138,10 +135,12 @@ def random_feasible_syndrome(H: PolyMatrix, n_real: int, rng) -> BlockSequence:
     Feasible by construction: the drawn sequence itself is admissible.
     """
     from .sequences import syndrome
-    n = H.cols
-    blocks = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n_real)]
-    blocks += [(0,) * n] * memory(H)
-    return syndrome(BlockSequence(n, tuple(blocks)), H)
+    # one draw per bit, in reading order: block 1 column 1 first
+    bits = 0
+    for _ in range(n_real * H.cols):
+        bits = bits << 1 | rng.randrange(2)
+    e = BlockSequence(H.cols, n_real, bits)
+    return syndrome(e.padded(n_real + memory(H)), H)
 
 
 def assert_equal_path_sets(a, b, label="path sets"):

@@ -108,7 +108,7 @@ def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
     if set(map(_shape, error_paths)) - {(w, n)}:
         for e in error_paths:
             z_shifted.check_shape(e)
-    return [BlockSequence.packed(w, n, bits) for bits in sorted(set(
+    return [BlockSequence(w, n, bits) for bits in sorted(set(
         map(xor, map(_bits, error_paths), repeat(z_shifted.bits))))]
 
 
@@ -175,7 +175,7 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     g_fin, h_fin = red.transformed_pair.G, red.transformed_pair.H
     window = n_real + _spill(plan.shifts, g_fin, h_fin)
 
-    z_pad = BlockSequence.packed(w, n_real, z.bits >> pad_bits).padded(window)
+    z_pad = BlockSequence(w, n_real, z.bits >> pad_bits).padded(window)
     z_sh = shift_received(z_pad, plan, n_real)
     zeta = syndrome(z_sh, h_fin)
     masks = boundary_masks(plan, n_real, horizon=window)
@@ -204,5 +204,5 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         error_states_before=1 << red.nu_before_dual,
         error_states_after=1 << red.nu_after_dual,
         passed=c_set == y_set,
-        mismatch=tuple(BlockSequence.packed(z_sh.block_width, window, bits)
+        mismatch=tuple(BlockSequence(z_sh.block_width, window, bits)
                        for bits in sorted(c_set ^ y_set)))

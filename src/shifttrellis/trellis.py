@@ -25,6 +25,8 @@ branches per state exceed MAX_TRELLIS_WORK.
 
 count_paths and min_weight_path share one backward pass, a few C-level
 maps per distinct section, run in the (+, x) and the (min, +) semiring.
+It yields one time index at a time: count_paths holds only the latest,
+and min_weight_path, whose forward tie pass reads them all, keeps each.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .gf2poly import (
 MAX_TRELLIS_WORK = 1 << 24
 # Most paths enumerate_paths will list, the most words the oracle checks.
 MAX_PATHS = 1 << 16
+# Path counts from here on are named by their bit length: str() refuses an
+# int of more than 4300 decimal digits.
+_DECIMAL_LIMIT = 10 ** 4300
 # Cost of a state with no way to state 0 at the end.
 _INF = float("inf")
 
@@ -64,12 +69,17 @@ class Trellis:
     horizon: int
     state_bits: int
     sections: tuple
-    feasible: bool = True
 
     def __post_init__(self):
         if len(self.sections) != self.horizon:
             raise ValueError(
                 f"{len(self.sections)} sections for horizon {self.horizon}")
+
+    @property
+    def feasible(self) -> bool:
+        """Whether section 1 keeps a branch: in a pruned trellis, as both
+        builders make, whether any path exists.  True at horizon 0."""
+        return self.horizon == 0 or bool(self.sections[0])
 
     @property
     def state_count(self) -> int:
@@ -151,8 +161,7 @@ def _sweep(horizon, n, state_bits, branch_bits, key_of, branches_for):
             hit = pruned[id(sections[t]), alive] = (
                 kept, frozenset([b.from_state for b in kept]))
         sections[t], alive = hit
-    feasible = horizon == 0 or bool(sections[0])
-    return Trellis(n, horizon, state_bits, tuple(sections), feasible)
+    return Trellis(n, horizon, state_bits, tuple(sections))
 
 
 def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
@@ -205,8 +214,7 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     sections are flush, with every error bit forced to zero (the trailing
     syndrome blocks come from draining the former).  Passing n_real moves
     that boundary, and masks adds per-section forced-zero columns.  A
-    syndrome nobody can produce yields an empty trellis with feasible set
-    to False.
+    syndrome nobody can produce yields an empty trellis, not feasible.
     """
     m, n = H.rows, H.cols
     if syndrome.block_width != m:
@@ -263,6 +271,8 @@ def enumerate_paths(trellis: Trellis):
     """
     count = count_paths(trellis)
     if count > MAX_PATHS:
+        if count >= _DECIMAL_LIMIT:
+            count = f"at least 2^{count.bit_length() - 1}"
         raise ValueError(f"too many paths: {count} exceeds {MAX_PATHS}")
     # Prefixes are packed ints (see blocks.py): appending a label is one
     # shift and or, and the int order is the order of the label sequences.
@@ -275,7 +285,7 @@ def enumerate_paths(trellis: Trellis):
             if prefs:
                 nxt.setdefault(ns, []).extend([p << n | label for p in prefs])
         paths = nxt
-    return [BlockSequence.packed(n, trellis.horizon, p)
+    return [BlockSequence(n, trellis.horizon, p)
             for p in sorted(paths.get(0, []))]
 
 
@@ -291,45 +301,50 @@ def min_weight_path(trellis: Trellis):
     because one state may have two branches with the same label, so equal
     prefixes can reach different states.
     """
-    layout, to_go = _backward(trellis.sections, 0, _INF, min)
-    weight = left = to_go[0].get(0, _INF)
+    passes = list(_backward(trellis.sections, 0, _INF, min))[::-1]
+    weight = left = passes[0][1].get(0, _INF)
     if weight == _INF:
         raise ValueError("no admissible path")
     n, states, bits = trellis.n, {0}, 0
-    for (*_, moves), after in zip(layout, to_go[1:]):
+    for (moves, _), (_, after) in zip(passes, passes[1:]):
         tied = [(label, ns) for s in states for ns, w, label in moves[s]
                 if w + after.get(ns, _INF) == left]
         best = min(label for label, _ in tied)
         states = {s for label, s in tied if label == best}
         bits = bits << n | best
         left -= bin(best).count("1")
-    return BlockSequence.packed(n, trellis.horizon, bits), weight
+    return BlockSequence(n, trellis.horizon, bits), weight
 
 
 def count_paths(trellis: Trellis) -> int:
     """Exact number of paths from state 0 to state 0 at the end; a state's
-    two branches with one label are two paths, as enumerate_paths lists."""
-    return _backward(trellis.sections, 1, 0, add)[1][0].get(0, 0)
+    two branches with one label are two paths, as enumerate_paths lists.
+    Only the latest time index's counts are held."""
+    for _, counts in _backward(trellis.sections, 1, 0, add):
+        pass
+    return counts.get(0, 0)
 
 
 def _backward(sections, end, dead, plus):
-    """Per time index, each state's value over its paths to state 0 at the
-    end, in the semiring of plus: min adds each label's weight, add does
-    not; end is the empty path's value, dead a missing branch's.  Also the
-    _by_state layout per section, one per distinct section object."""
+    """Per time index, from the end back to 0, each state's value over its
+    paths to state 0 at the end, in the semiring of plus: min adds each
+    label's weight, add does not; end is the empty path's value, dead a
+    missing branch's.  Yields (per-state moves of the section leaving that
+    index, None at the end; values), grouping each distinct section object
+    once with _by_state."""
     distinct = {id(sec): sec for sec in sections}
     grouped = {key: _by_state(sec) for key, sec in distinct.items()}
-    layout = [grouped[id(sec)] for sec in sections]
-    values = [None] * len(sections) + [{0: end}]
-    for t in range(len(sections) - 1, -1, -1):
-        tos, ws, width, moves = layout[t]
-        ends = map(values[t + 1].get, tos, repeat(dead))
+    values = {0: end}
+    yield None, values
+    for sec in reversed(sections):
+        tos, ws, width, moves = grouped[id(sec)]
+        ends = map(values.get, tos, repeat(dead))
         ends = list(map(add, ends, ws) if plus is min else ends)
         folded = ends[::width]
         for k in range(1, width):
             folded = map(plus, folded, ends[k::width])
-        values[t] = dict(zip(moves, folded))
-    return layout, values
+        values = dict(zip(moves, folded))
+        yield moves, values
 
 
 def _by_state(sec):

@@ -26,7 +26,25 @@ def blocks(text, width=None):
 
 def label_bits(label, n):
     """A branch label, one packed n-bit block, as a tuple of bits."""
-    return BlockSequence.packed(n, 1, label)[0]
+    return tuple(label >> i & 1 for i in range(n - 1, -1, -1))
+
+
+def bit_tuples(seq):
+    """Every block of seq as a tuple of bits."""
+    return tuple(label_bits(seq.block(k), seq.block_width)
+                 for k in range(len(seq)))
+
+
+def from_bit_tuples(width, blocks):
+    """The sequence of the given blocks of width bits, each a tuple of
+    bits, packed in reading order (block 1, column 1 first)."""
+    blocks = tuple(blocks)
+    bits = 0
+    for blk in blocks:
+        assert len(blk) == width, (blk, width)
+        for b in blk:
+            bits = bits << 1 | b
+    return BlockSequence(width, len(blocks), bits)
 
 
 # Backward-shift showcase: every column of the reciprocal dual of H has a

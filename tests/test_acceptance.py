@@ -9,7 +9,6 @@ import random
 import pytest
 
 from shifttrellis import (
-    BlockSequence,
     ShiftPlan,
     apply_plan,
     brute_codewords,
@@ -60,6 +59,7 @@ from pairs import (
     Z_MAIN,
     Z_MAIN_SHIFTED,
     ZETA_MAIN,
+    blocks,
 )
 from test_transform import random_csr_plan
 
@@ -183,8 +183,7 @@ def test_criterion_7_min_weight_decoding():
         H_MAIN_RED, ZETA_MAIN, n_real=5,
         masks={1: {3}, 5: {1, 2}})
     e_hat, weight = min_weight_path(trellis)
-    assert e_hat == BlockSequence(3, ((0, 0, 0), (1, 0, 0), (0, 0, 0),
-                                      (1, 0, 0), (0, 0, 0)))
+    assert e_hat == blocks("000 100 000 100 000")
     assert weight == 2
     print("criterion 7: PASS  min-weight path 000 100 000 100 000, weight 2")
 

@@ -28,8 +28,8 @@ def test_parse_errors():
 
 def test_indexing():
     z = parse_blocks("001 000 011 010")
-    assert z[0] == (0, 0, 1)
-    assert z[3] == (0, 1, 0)
+    assert z.block(0) == 0b001
+    assert z.block(3) == z.block(-1) == 0b010
     # bit(t, j) is 1-based on both axes
     assert z.bit(1, 3) == 1
     assert z.bit(3, 2) == 1
@@ -47,13 +47,18 @@ def test_xor():
         a ^ parse_blocks("001", width=3)
 
 
+def test_repr_is_text_form():
+    assert repr(parse_blocks("001 000")) == "<BlockSequence 2x3: 001 000>"
+    assert repr(BlockSequence(2, 0, 0)) == "<BlockSequence 0x2: >"
+
+
 def test_weight():
     assert parse_blocks("001 000 011 010").weight == 4
-    assert BlockSequence.zero(3, 5).weight == 0
+    assert BlockSequence(3, 5, 0).weight == 0
 
 
 def test_zero_and_padded():
-    z = BlockSequence.zero(2, 3)
+    z = BlockSequence(2, 3, 0)
     assert format_blocks(z) == "00 00 00"
     p = parse_blocks("001 010").padded(4)
     assert format_blocks(p) == "001 010 000 000"
@@ -64,6 +69,8 @@ def test_zero_and_padded():
 
 def test_validation():
     with pytest.raises(ValueError):
-        BlockSequence(2, ((0, 1), (1, 0, 1)))
+        parse_blocks("01 101", width=2)
     with pytest.raises(ValueError):
-        BlockSequence(2, ((0, 2),))
+        parse_blocks("02", width=2)
+    with pytest.raises(ValueError, match="is not 2 blocks of 2 bits"):
+        BlockSequence(2, 2, 16)

@@ -2,9 +2,10 @@
 
 TupleSequence below is the earlier storage of BlockSequence, kept here as
 the reference: every block a tuple of 0/1 ints, order and equality those
-of the tuples.  Over random widths 1-4 and lengths 0-40 the packed class
-must give the same blocks, bits, xor, weight, padding, text form, equality
-and order, and raise the same validation errors.
+of the tuples.  Over random widths 1-4 and lengths 0-40 the packed class,
+built from the tuples packed in reading order, must give the same blocks,
+bits, xor, weight, padding, text form, equality and order, and the text
+reader must refuse what the reference refuses.
 
 slicing_format below is the earlier per-sequence formatter, kept as the
 reference of the chunked list formatter format_sequences.
@@ -23,6 +24,7 @@ from shifttrellis import (
     parse_blocks,
 )
 from shifttrellis.blocks import _TABLES
+from pairs import bit_tuples, from_bit_tuples
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -98,51 +100,52 @@ def same_shape_lists(draw, count):
 @given(block_lists(), st.data())
 def test_packed_matches_tuple_reference(wb, data):
     w, blocks = wb
-    seq, ref = BlockSequence(w, blocks), TupleSequence(w, blocks)
-    assert seq.blocks == ref.blocks
+    seq, ref = from_bit_tuples(w, blocks), TupleSequence(w, blocks)
+    assert bit_tuples(seq) == ref.blocks
     assert len(seq) == len(ref)
-    assert list(seq) == list(ref.blocks)
     assert seq.weight == ref.weight
     assert format_blocks(seq) == ref.text()
     if blocks:
         assert parse_blocks(ref.text(), width=w) == seq
         k = data.draw(st.integers(-len(blocks), len(blocks) - 1))
-        assert seq[k] == ref[k]
+        assert seq.block(k) == int("".join(map(str, ref[k])), 2)
         t = data.draw(st.integers(1, len(blocks)))
         j = data.draw(st.integers(1, w))
         assert seq.bit(t, j) == ref.bit(t, j)
     for k in (len(blocks), -len(blocks) - 1):
         with pytest.raises(IndexError):
-            seq[k]
+            seq.block(k)
     extra = data.draw(st.integers(0, 5))
-    assert (seq.padded(len(seq) + extra).blocks
-            == ref.padded(len(ref) + extra).blocks)
+    assert (format_blocks(seq.padded(len(seq) + extra))
+            == ref.padded(len(ref) + extra).text())
     if blocks:
         with pytest.raises(ValueError, match="cannot pad"):
             seq.padded(len(seq) - 1)
-    zero = BlockSequence.zero(w, len(blocks))
-    assert zero.blocks == TupleSequence.zero(w, len(blocks)).blocks
-    assert zero == BlockSequence(w, TupleSequence.zero(w, len(blocks)).blocks)
+    zero = BlockSequence(w, len(blocks), 0)
+    assert format_blocks(zero) == TupleSequence.zero(w, len(blocks)).text()
+    assert zero == from_bit_tuples(
+        w, TupleSequence.zero(w, len(blocks)).blocks)
 
 
 @SETTINGS
 @given(same_shape_lists(3))
 def test_xor_equality_hash_and_order_match_tuples(wl):
     w, lists = wl
-    seqs = [BlockSequence(w, b) for b in lists]
+    seqs = [from_bit_tuples(w, b) for b in lists]
     refs = [TupleSequence(w, b) for b in lists]
     a, b, c = seqs
     ra, rb, rc = refs
-    assert (a ^ b).blocks == (ra ^ rb).blocks
+    assert format_blocks(a ^ b) == (ra ^ rb).text()
     assert (a ^ b) ^ b == a
     for x, y, rx, ry in ((a, b, ra, rb), (b, c, rb, rc), (a, a, ra, ra)):
         assert (x == y) == (rx == ry)
         assert (x < y) == (rx.blocks < ry.blocks)
         assert (x <= y) == (rx.blocks <= ry.blocks)
         assert (x > y) == (rx.blocks > ry.blocks)
-    assert [s.blocks for s in sorted(seqs)] == sorted(r.blocks for r in refs)
+    assert ([format_blocks(s) for s in sorted(seqs)]
+            == [r.text() for r in sorted(refs, key=lambda r: r.blocks)])
     members = set(seqs)
-    assert BlockSequence(w, lists[0]) in members
+    assert from_bit_tuples(w, lists[0]) in members
     assert len(members) == len({r.blocks for r in refs})
 
 
@@ -150,7 +153,7 @@ def test_xor_equality_hash_and_order_match_tuples(wl):
 @given(block_lists(), block_lists())
 def test_shapes_never_mix(wb1, wb2):
     (w1, b1), (w2, b2) = wb1, wb2
-    x, y = BlockSequence(w1, b1), BlockSequence(w2, b2)
+    x, y = from_bit_tuples(w1, b1), from_bit_tuples(w2, b2)
     if (w1, len(b1)) == (w2, len(b2)):
         return
     assert x != y
@@ -168,18 +171,20 @@ def test_shapes_never_mix(wb1, wb2):
     (1, ((-1,),)),
 ])
 def test_same_validation_errors(width, blocks):
-    with pytest.raises(ValueError) as want:
+    """Blocks arrive unchecked only as text: parse_blocks refuses every
+    block list the reference refuses."""
+    with pytest.raises(ValueError):
         TupleSequence(width, blocks)
-    with pytest.raises(ValueError) as got:
-        BlockSequence(width, blocks)
-    assert str(got.value) == str(want.value)
+    text = " ".join("".join(map(str, blk)) for blk in blocks)
+    with pytest.raises(ValueError):
+        parse_blocks(text, width=width)
 
 
 def test_packed_constructor_range_check():
-    assert BlockSequence.packed(2, 2, 0b1001).blocks == ((1, 0), (0, 1))
+    assert bit_tuples(BlockSequence(2, 2, 0b1001)) == ((1, 0), (0, 1))
     for width, length, bits in ((2, 2, 16), (2, 2, -1), (3, 0, 1)):
         with pytest.raises(ValueError, match="is not"):
-            BlockSequence.packed(width, length, bits)
+            BlockSequence(width, length, bits)
 
 
 def test_immutable():
@@ -201,7 +206,7 @@ def packed_lists(draw):
     """A width 1-4, a length 0-40 and 0-50 sequences of that shape."""
     w, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
     ints = draw(st.lists(st.integers(0, (1 << w * n) - 1), max_size=50))
-    return [BlockSequence.packed(w, n, bits) for bits in ints]
+    return [BlockSequence(w, n, bits) for bits in ints]
 
 
 @SETTINGS
@@ -216,7 +221,7 @@ def test_list_formatter_matches_slicing_reference(seqs):
 @pytest.mark.parametrize("width", [0, 5, 6, 7, 9, 13])
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 7])
 def test_list_formatter_edge_widths(width, length):
-    seqs = [BlockSequence.packed(width, length, bits)
+    seqs = [BlockSequence(width, length, bits)
             for bits in range(min(1 << width * length, 9))]
     assert format_sequences(seqs) == [slicing_format(s) for s in seqs]
     assert max(map(len, _TABLES.values()), default=0) <= 64
@@ -226,7 +231,7 @@ def test_list_formatter_edge_widths(width, length):
 @given(packed_lists(), block_lists(), st.data())
 def test_list_formatter_refuses_mixed_shapes(seqs, wb, data):
     w, b = wb
-    odd = BlockSequence(w, b)
+    odd = from_bit_tuples(w, b)
     if not seqs or (w, len(b)) == (seqs[0].block_width, len(seqs[0])):
         return
     k = data.draw(st.integers(0, len(seqs)))

@@ -334,6 +334,23 @@ def test_path_cap_exit_code(files, capsys):
                        "--format", "dot")
     assert (rc, err) == (0, "")
     assert out.startswith("digraph trellis {")
+    # 2^19998 codewords at 20000 blocks: a count of more decimal digits
+    # than str() prints is named by its bit length
+    rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "20000")
+    assert (rc, out) == (1, "")
+    assert err == "error: too many paths: at least 2^19998 exceeds 65536\n"
+
+
+def test_trials_cap_exit_code(files, capsys):
+    # refused before any trial runs; 4096 trials are allowed
+    rc, out, err = run(capsys, "oracle", files["g"], files["h"],
+                       "--trials", "100000000")
+    assert (rc, out) == (1, "")
+    assert err == "error: too many trials: 100000000 exceeds 4096\n"
+    rc, out, err = run(capsys, "oracle", files["g"], files["h"],
+                       "--trials", "4097")
+    assert (rc, out) == (1, "")
+    assert err == "error: too many trials: 4097 exceeds 4096\n"
 
 
 def test_library_runtime_error_exit_code(files, capsys, monkeypatch):

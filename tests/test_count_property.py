@@ -13,6 +13,7 @@ wherever no two paths carry one label sequence.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -76,7 +77,7 @@ def test_error_trellis_count_matches_reference(data):
     if len(zeta) and data.draw(st.booleans()):
         # one flipped syndrome bit, often infeasible
         flip = 1 << rng.randrange(H.rows * len(zeta))
-        zeta = BlockSequence.packed(H.rows, len(zeta), zeta.bits ^ flip)
+        zeta = BlockSequence(H.rows, len(zeta), zeta.bits ^ flip)
     mask = masks(data.draw, len(zeta), H.cols)
     # The syndrome former's state follows from the errors alone, so every
     # error sequence is one path.
@@ -128,10 +129,10 @@ def test_infeasible_syndrome_and_empty_horizon():
     infeasible = build_error_trellis(TIE_PAIR.H, blocks("1"), n_real=0)
     assert not infeasible.feasible
     check(infeasible, [])
-    empty = [BlockSequence.zero(2, 0)]
+    empty = [BlockSequence(2, 0, 0)]
     check(Trellis(2, 0, 0, ()), empty)
     check(build_code_trellis(parse_matrix("1,1"), 0), empty)
-    check(build_error_trellis(TIE_PAIR.H, BlockSequence.zero(1, 0),
+    check(build_error_trellis(TIE_PAIR.H, BlockSequence(1, 0, 0),
                               n_real=0), empty)
 
 
@@ -143,9 +144,24 @@ def test_k7_code_and_error_trellis_counts_at_n200():
     former, so the errors of zero syndrome are exactly those codewords."""
     code = build_code_trellis(K7_PAIR.G, 200)
     assert count_paths(code) == 2**194
-    err = build_error_trellis(K7_PAIR.H, BlockSequence.zero(1, 200),
+    err = build_error_trellis(K7_PAIR.H, BlockSequence(1, 200, 0),
                               n_real=200)
     assert count_paths(err) == 2**194
     with pytest.raises(ValueError, match=(
             f"^too many paths: {2**194} exceeds 65536$")):
         enumerate_paths(code)
+
+
+def test_count_holds_one_layer_at_n20000():
+    """count_paths keeps only the latest time index's counts: at 20000
+    blocks the code trellis of (1+D+D^2, 1+D^2) has 2^19998 paths, and the
+    count stays far below the 20000 layers of such ints (over 100 MB)."""
+    code = build_code_trellis(parse_matrix("1+D+D^2,1+D^2"), 20000)
+    tracemalloc.start()
+    try:
+        count = count_paths(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2**19998
+    assert peak < 8 << 20

@@ -45,7 +45,7 @@ from shifttrellis import (
     trellis,
 )
 from shifttrellis.trellis import MAX_TRELLIS_WORK
-from pairs import TIE_PAIR, blocks, label_bits
+from pairs import TIE_PAIR, blocks, from_bit_tuples, label_bits
 from test_min_weight_property import SETTINGS, masks, matrices
 
 MAX_HORIZON = 40
@@ -76,8 +76,7 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
         kept = tuple([b for b in sections[t] if b.to_state in alive])
         sections[t] = kept
         alive = {b.from_state for b in kept}
-    feasible = horizon == 0 or bool(sections[0])
-    return Trellis(n, horizon, state_bits, tuple(sections), feasible)
+    return Trellis(n, horizon, state_bits, tuple(sections))
 
 
 def reference_row_layout(M):
@@ -154,7 +153,7 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
     flush = frozenset(range(1, n + 1))
 
     def key_of(t):
-        return (syndrome[t - 1],
+        return (label_bits(syndrome.block(t - 1), syndrome.block_width),
                 flush if t > n_real else frozenset(masks.get(t, ())))
 
     def branches_for(key, state):
@@ -175,7 +174,7 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
 def packed_labels(t):
     """t with each tuple label packed into one int, as blocks.py packs."""
     return replace(t, sections=tuple(
-        tuple(Branch(s, ns, BlockSequence(t.n, [label]).bits)
+        tuple(Branch(s, ns, from_bit_tuples(t.n, [label]).bits)
               for s, ns, label in sec)
         for sec in t.sections))
 
@@ -204,7 +203,7 @@ def reference_min_weight_path(trellis):
         states = {s for label, s in tied if label == best}
         labels.append(best)
         left -= sum(best)
-    return BlockSequence(trellis.n, tuple(labels)), weight
+    return from_bit_tuples(trellis.n, labels), weight
 
 
 def reference_syndrome(z, H):
@@ -221,7 +220,7 @@ def reference_syndrome(z, H):
                         acc ^= z.bit(t - d, j)
             blk.append(acc)
         out.append(tuple(blk))
-    return BlockSequence(H.rows, tuple(out))
+    return from_bit_tuples(H.rows, out)
 
 
 def check_decode(t):
@@ -262,7 +261,7 @@ def test_error_trellis_matches_reference(data):
     if len(zeta) and data.draw(st.booleans()):
         # one flipped syndrome bit, often infeasible
         flip = 1 << rng.randrange(H.rows * len(zeta))
-        zeta = BlockSequence.packed(H.rows, len(zeta), zeta.bits ^ flip)
+        zeta = BlockSequence(H.rows, len(zeta), zeta.bits ^ flip)
     mask = masks(data.draw, len(zeta), H.cols)
     check_build(build_error_trellis, reference_error_trellis, H, zeta,
                 n_real=n_real, masks=mask)
@@ -310,6 +309,7 @@ def test_hand_built_corner_cases():
     check_decode(Trellis(1, 2, 1, ([Branch(0, 0, 0)], [])))
     with pytest.raises(ValueError, match="no admissible path"):
         min_weight_path(Trellis(1, 1, 0, ([],)))
+    assert Trellis(1, 1, 0, ([],)).feasible is False
     # every state with a single branch
     single = Trellis(1, 2, 1, ([Branch(0, 1, 1)], [Branch(1, 0, 0)]))
     check_decode(single)
@@ -325,7 +325,7 @@ def test_hand_built_corner_cases():
     assert min_weight_path(mixed) == (blocks("0 0 0"), 0)
     # no sections at all: the empty sequence, weight 0
     assert min_weight_path(Trellis(2, 0, 0, ())) == (
-        BlockSequence.zero(2, 0), 0)
+        BlockSequence(2, 0, 0), 0)
 
 
 @SETTINGS
@@ -337,6 +337,6 @@ def test_syndrome_matches_reference(data):
         st.lists(st.integers(0, 127), min_size=rows * cols,
                  max_size=rows * cols))))
     length = data.draw(st.integers(0, 60))
-    z = BlockSequence.packed(cols, length,
-                             data.draw(st.integers(0, 2**(cols * length) - 1)))
+    z = BlockSequence(cols, length,
+                      data.draw(st.integers(0, 2**(cols * length) - 1)))
     assert syndrome(z, H) == reference_syndrome(z, H)

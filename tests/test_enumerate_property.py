@@ -23,7 +23,7 @@ from shifttrellis import (
     random_feasible_syndrome,
     syndrome,
 )
-from pairs import TIE_PAIR, blocks, label_bits
+from pairs import TIE_PAIR, blocks, from_bit_tuples, label_bits
 from test_min_weight_property import SETTINGS, masks, matrices
 
 
@@ -41,7 +41,8 @@ def reference_paths(trellis):
 
 def check(trellis):
     found = enumerate_paths(trellis)
-    assert [p.blocks for p in found] == reference_paths(trellis)
+    assert found == [from_bit_tuples(trellis.n, p)
+                     for p in reference_paths(trellis)]
     assert all((p.block_width, len(p)) == (trellis.n, trellis.horizon)
                for p in found)
 

@@ -11,6 +11,7 @@ from shifttrellis import (
     build_code_trellis,
     build_error_trellis,
     enumerate_paths,
+    format_blocks,
     memory,
     parse_blocks,
     parse_matrix,
@@ -35,13 +36,8 @@ from pairs import (
 
 def test_brute_codewords_small():
     words = brute_codewords(parse_matrix("1,1"), 2)
-    got = sorted(tuple(w.blocks) for w in words)
-    assert got == [
-        ((0, 0), (0, 0)),
-        ((0, 0), (1, 1)),
-        ((1, 1), (0, 0)),
-        ((1, 1), (1, 1)),
-    ]
+    assert [format_blocks(w) for w in words] == [
+        "00 00", "00 11", "11 00", "11 11"]
 
 
 def test_brute_codewords_match_trellis():
@@ -61,7 +57,7 @@ def test_brute_codewords_match_trellis():
 
 def test_brute_codewords_contains_zero():
     words = brute_codewords(G_MAIN, 4)
-    assert BlockSequence.zero(3, 4) in words
+    assert BlockSequence(3, 4, 0) in words
 
 
 def test_brute_codewords_are_in_kernel():
@@ -81,10 +77,10 @@ def test_brute_codewords_caps():
 
 def test_shifted_codewords_are_reduced_code_paths():
     words = brute_codewords(G_MAIN, 4)
-    shifted = {shift_received(y.padded(5), MAIN_PLAN, 4).blocks for y in words}
+    shifted = {shift_received(y.padded(5), MAIN_PLAN, 4) for y in words}
     reduced = enumerate_paths(
         build_code_trellis(parse_matrix("1+D,D,1+D"), 5, masks=MAIN_MASKS))
-    assert shifted == {y.blocks for y in reduced}
+    assert shifted == set(reduced)
 
 
 def test_brute_errors_match_trellis():
@@ -100,13 +96,13 @@ def test_brute_errors_with_masks():
 
 def test_brute_errors_shift_onto_reduced_set():
     raw = brute_errors(H_MAIN, ZETA_MAIN)
-    shifted = {shift_received(e, MAIN_PLAN, 4).blocks for e in raw}
-    assert shifted == {e.blocks for e in E_MAIN_RED}
+    shifted = {shift_received(e, MAIN_PLAN, 4) for e in raw}
+    assert shifted == set(E_MAIN_RED)
 
 
 def test_brute_errors_zero_syndrome():
-    errs = brute_errors(H_MAIN, BlockSequence.zero(2, 5))
-    assert BlockSequence.zero(3, 5) in errs
+    errs = brute_errors(H_MAIN, BlockSequence(2, 5, 0))
+    assert BlockSequence(3, 5, 0) in errs
 
 
 def test_brute_errors_infeasible():
@@ -116,12 +112,12 @@ def test_brute_errors_infeasible():
 
 def test_brute_errors_input_checks():
     with pytest.raises(ValueError, match="syndrome width 3"):
-        brute_errors(H_MAIN, BlockSequence.zero(3, 5))
+        brute_errors(H_MAIN, BlockSequence(3, 5, 0))
     with pytest.raises(ValueError, match="flush alone needs"):
         brute_errors(parse_matrix("D^3,D^2,1;D,1+D+D^2,0"),
-                     BlockSequence.zero(2, 2))
+                     BlockSequence(2, 2, 0))
     with pytest.raises(ValueError, match="exceeds cap"):
-        brute_errors(H_MAIN, BlockSequence.zero(2, 9))
+        brute_errors(H_MAIN, BlockSequence(2, 9, 0))
 
 
 def test_random_feasible_syndrome_agreement():
@@ -151,7 +147,7 @@ def test_masked_brute_agrees_with_masked_trellis():
 
 
 def test_assert_equal_path_sets_reports_difference():
-    a = [BlockSequence.zero(3, 2)]
+    a = [BlockSequence(3, 2, 0)]
     b = [parse_blocks("001 000")]
     with pytest.raises(AssertionError) as exc:
         assert_equal_path_sets(a, b, label="demo")
@@ -163,5 +159,5 @@ def test_assert_equal_path_sets_reports_difference():
 
 def test_reconstruction_identity():
     # z' xor error paths equals the reduced code set, the oracle way round
-    recon = {(Z_MAIN_SHIFTED ^ e).blocks for e in E_MAIN_RED}
-    assert recon == {y.blocks for y in Y_MAIN_RED}
+    recon = {Z_MAIN_SHIFTED ^ e for e in E_MAIN_RED}
+    assert recon == set(Y_MAIN_RED)

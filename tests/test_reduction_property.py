@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shifttrellis import (
-    BlockSequence,
     ShiftPlan,
     brute_codewords,
     brute_errors,
@@ -35,6 +34,7 @@ from shifttrellis import (
 )
 from shifttrellis.oracle import MAX_HORIZON, MAX_INFO_BITS
 
+from pairs import from_bit_tuples
 from test_search_property import rate1_pairs
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -109,8 +109,8 @@ def test_random_reductions_verify_and_match_the_oracle(data):
     plan = data.draw(reduction_plans(pair))
     n_real = data.draw(st.integers(1, 3))
     bit = st.integers(0, 1)
-    z = BlockSequence(pair.n, tuple(data.draw(st.lists(
-        st.tuples(*[bit] * pair.n), min_size=n_real, max_size=n_real))))
+    z = from_bit_tuples(pair.n, data.draw(st.lists(
+        st.tuples(*[bit] * pair.n), min_size=n_real, max_size=n_real)))
 
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
     assert rep.passed

@@ -34,15 +34,15 @@ from pairs import (
     Z_MAIN,
     Z_MAIN_SHIFTED,
     ZETA_MAIN,
+    from_bit_tuples,
 )
 from test_transform import random_csr_plan
 
 
 def random_word(rng, width, length):
-    return BlockSequence(
+    return from_bit_tuples(
         width,
-        tuple(tuple(rng.randrange(2) for _ in range(width))
-              for _ in range(length)))
+        [[rng.randrange(2) for _ in range(width)] for _ in range(length)])
 
 
 def test_net_shifts():
@@ -53,10 +53,10 @@ def test_net_shifts():
 
 def test_syndrome():
     assert syndrome(Z_MAIN.padded(5), H_MAIN) == ZETA_MAIN
-    zero = BlockSequence.zero(3, 5)
-    assert syndrome(zero, H_MAIN) == BlockSequence.zero(2, 5)
+    zero = BlockSequence(3, 5, 0)
+    assert syndrome(zero, H_MAIN) == BlockSequence(2, 5, 0)
     with pytest.raises(ValueError, match="received width 2"):
-        syndrome(BlockSequence.zero(2, 5), H_MAIN)
+        syndrome(BlockSequence(2, 5, 0), H_MAIN)
 
 
 def test_syndrome_invariant_under_shift():
@@ -76,14 +76,14 @@ def test_shift_received():
     with pytest.raises(ValueError, match="shift window needs 5"):
         shift_received(Z_MAIN, MAIN_PLAN, 4)
     with pytest.raises(ValueError, match="plan has 3 columns"):
-        shift_received(BlockSequence.zero(2, 5), MAIN_PLAN, 4)
+        shift_received(BlockSequence(2, 5, 0), MAIN_PLAN, 4)
 
 
 def test_shift_code():
     # codewords move exactly as received data does
     y = parse_blocks("000 001 101 110 000")
     assert format_blocks(shift_received(y, MAIN_PLAN, 4)) == "000 000 101 111 000"
-    zero = BlockSequence.zero(3, 5)
+    zero = BlockSequence(3, 5, 0)
     assert shift_received(zero, MAIN_PLAN, 4) == zero
 
 
@@ -147,7 +147,7 @@ def test_shifts_match_per_position_reference():
             t: frozenset(cols) for t, cols in want.items()}
         need = n_real + max(abs(s) for s in plan.shifts) + rng.randrange(3)
         z = random_word(rng, 3, need)
-        assert shift_received(z, plan, n_real) == BlockSequence(3, [
+        assert shift_received(z, plan, n_real) == from_bit_tuples(3, [
             [z.bit(reference_source(p, s, n_real) + 1, j)
              for j, s in enumerate(plan.shifts, 1)] for p in range(need)])
 
@@ -156,9 +156,9 @@ def test_reconstruct_code_paths():
     got = reconstruct_code_paths(Z_MAIN_SHIFTED, E_MAIN_RED)
     assert tuple(got) == Y_MAIN_RED
     only_z = reconstruct_code_paths(Z_MAIN_SHIFTED, (Z_MAIN_SHIFTED,))
-    assert only_z == [BlockSequence.zero(3, 5)]
+    assert only_z == [BlockSequence(3, 5, 0)]
     with pytest.raises(ValueError):
-        reconstruct_code_paths(Z_MAIN_SHIFTED, (BlockSequence.zero(2, 5),))
+        reconstruct_code_paths(Z_MAIN_SHIFTED, (BlockSequence(2, 5, 0),))
 
 
 def test_verify_main_pair():
@@ -208,7 +208,7 @@ def test_verify_input_checks():
             MAIN_PAIR, MAIN_PLAN, parse_blocks("001 000"), 4)
     with pytest.raises(ValueError, match="received width"):
         verify_simultaneous_reduction(
-            MAIN_PAIR, MAIN_PLAN, BlockSequence.zero(2, 4), 4)
+            MAIN_PAIR, MAIN_PLAN, BlockSequence(2, 4, 0), 4)
 
 
 def test_negative_n_real_is_refused_by_name():
@@ -256,7 +256,7 @@ def test_verify_window_keeps_every_input_free():
     # the inputs of a memory-1 encoder over n_real + 1 blocks.
     pair = GHPair(parse_matrix("D,0,0;0,D,D+D^2"), parse_matrix("0,1+D,1"))
     plan = make_type1_plan(3, 1, (2, 3), (1,))
-    rep = verify_simultaneous_reduction(pair, plan, BlockSequence.zero(3, 2), 2)
+    rep = verify_simultaneous_reduction(pair, plan, BlockSequence(3, 2, 0), 2)
     assert rep.window == 4
     assert rep.passed
     assert len(rep.code_paths) == len(rep.error_paths) == 8
