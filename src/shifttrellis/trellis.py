@@ -23,8 +23,9 @@ every section equal to one built earlier is that same tuple object.  Both
 builders refuse, before any work, a trellis whose states x sections x
 branches per state exceed MAX_TRELLIS_WORK.
 
-count_paths and min_weight_path share one backward pass, a few C-level
-maps per distinct section, run in the (+, x) and the (min, +) semiring.
+count_paths and min_weight_path share one backward pass, in the (+, x) and
+the (min, +) semiring, over lists: the states alive at a time index are
+numbered by their place among the from-states of the section leaving it.
 It yields one time index at a time: count_paths holds only the latest,
 and min_weight_path, whose forward tie pass reads them all, keeps each.
 """
@@ -32,8 +33,7 @@ and min_weight_path, whose forward tie pass reads them all, keeps each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, index
+from operator import add, index, itemgetter
 from typing import NamedTuple
 
 from .blocks import BlockSequence
@@ -77,9 +77,12 @@ class Trellis:
 
     @property
     def feasible(self) -> bool:
-        """Whether section 1 keeps a branch: in a pruned trellis, as both
-        builders make, whether any path exists.  True at horizon 0."""
-        return self.horizon == 0 or bool(self.sections[0])
+        """Whether any path runs from state 0 to state 0 at the end, found
+        by one backward reachability pass.  True at horizon 0."""
+        alive = {0}
+        for sec in reversed(self.sections):
+            alive = {b.from_state for b in sec if b.to_state in alive}
+        return 0 in alive
 
     @property
     def state_count(self) -> int:
@@ -243,9 +246,9 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
         return new_state, out
 
     flush = (1 << n) - 1
-    # (forced columns, state) -> every (next state, output, error label);
-    # step does not depend on the syndrome block, which only filters.
-    table = {}
+    # The former is linear over GF(2): step(s, e) = step(s, 0) ^ step(0, e).
+    by_error = [step(0, e) for e in range(1 << n)]
+    by_state = {}
 
     def key_of(t):
         return (syndrome.block(t - 1),
@@ -253,11 +256,11 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
 
     def branches_for(key, state):
         want, forced = key
-        moves = table.get((forced, state))
-        if moves is None:
-            moves = table[forced, state] = [
-                (*step(state, e), e) for e in range(1 << n) if not e & forced]
-        return [(ns, e) for ns, out, e in moves if out == want]
+        if state not in by_state:
+            by_state[state] = step(state, 0)
+        drift, out0 = by_state[state]
+        return [(drift ^ ns, e) for e, (ns, out) in enumerate(by_error)
+                if out ^ out0 == want and not e & forced]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
                   key_of, branches_for)
@@ -301,16 +304,17 @@ def min_weight_path(trellis: Trellis):
     because one state may have two branches with the same label, so equal
     prefixes can reach different states.
     """
-    passes = list(_backward(trellis.sections, 0, _INF, min))[::-1]
-    weight = left = passes[0][1].get(0, _INF)
+    passes = list(_backward(trellis.sections, True))[::-1]
+    start, _, costs = passes[0]
+    weight = left = costs[start.get(0, -1)]
     if weight == _INF:
         raise ValueError("no admissible path")
-    n, states, bits = trellis.n, {0}, 0
-    for (moves, _), (_, after) in zip(passes, passes[1:]):
-        tied = [(label, ns) for s in states for ns, w, label in moves[s]
-                if w + after.get(ns, _INF) == left]
+    n, states, bits = trellis.n, {start[0]}, 0
+    for (_, moves, _), (_, _, after) in zip(passes, passes[1:]):
+        tied = [(label, p) for s in states for p, label in moves[s]
+                if bin(label).count("1") + after[p] == left]
         best = min(label for label, _ in tied)
-        states = {s for label, s in tied if label == best}
+        states = {p for label, p in tied if label == best}
         bits = bits << n | best
         left -= bin(best).count("1")
     return BlockSequence(n, trellis.horizon, bits), weight
@@ -320,49 +324,55 @@ def count_paths(trellis: Trellis) -> int:
     """Exact number of paths from state 0 to state 0 at the end; a state's
     two branches with one label are two paths, as enumerate_paths lists.
     Only the latest time index's counts are held."""
-    for _, counts in _backward(trellis.sections, 1, 0, add):
+    for start, _, counts in _backward(trellis.sections, False):
         pass
-    return counts.get(0, 0)
+    return counts[start.get(0, -1)]
 
 
-def _backward(sections, end, dead, plus):
+def _backward(sections, weighted):
     """Per time index, from the end back to 0, each state's value over its
-    paths to state 0 at the end, in the semiring of plus: min adds each
-    label's weight, add does not; end is the empty path's value, dead a
-    missing branch's.  Yields (per-state moves of the section leaving that
-    index, None at the end; values), grouping each distinct section object
-    once with _by_state."""
-    distinct = {id(sec): sec for sec in sections}
-    grouped = {key: _by_state(sec) for key, sec in distinct.items()}
-    values = {0: end}
-    yield None, values
+    paths to state 0 at the end: the least weight if weighted (min, +),
+    else the count (+, x).  Yields (the position of each state the section
+    leaving the index starts from, {0: 0} at the end; if weighted, that
+    section's moves by position; the values by position, a dead slot
+    last), laying out each (section, successor) pair once with _layout."""
+    end, dead = (0, _INF) if weighted else (1, 0)
+    layouts = {}
+    pos, after, values = {0: 0}, None, [end, dead]
+    yield pos, None, values
     for sec in reversed(sections):
-        tos, ws, width, moves = grouped[id(sec)]
-        ends = map(values.get, tos, repeat(dead))
-        ends = list(map(add, ends, ws) if plus is min else ends)
+        key = id(sec), id(after)
+        if key not in layouts:
+            layouts[key] = _layout(sec, pos, weighted)
+        pos, get, ws, width, moves = layouts[key]
+        ends = list(map(add, get(values), ws)) if weighted else get(values)
         folded = ends[::width]
         for k in range(1, width):
-            folded = map(plus, folded, ends[k::width])
-        values = dict(zip(moves, folded))
-        yield moves, values
+            more = ends[k::width]
+            folded = ([x if x <= y else y for x, y in zip(folded, more)]
+                      if weighted else map(add, folded, more))
+        values, after = [*folded, dead], sec
+        yield pos, moves, values
 
 
-def _by_state(sec):
-    """One section's branches grouped by from-state: flat lists of the
-    to-states and label weights, state by state, each state's group padded
-    to `width` entries by a dead branch to state None; width; and per
-    from-state its (to, weight, label) list, in first-seen order.
-    """
-    moves = {}
-    for s, ns, label in sec:
-        moves.setdefault(s, []).append((ns, bin(label).count("1"), label))
-    width = max(map(len, moves.values()), default=1)
-    tos, ws = [], []
-    for group in moves.values():
-        pad = width - len(group)
-        tos.extend([ns for ns, _, _ in group] + [None] * pad)
-        ws.extend([w for _, w, _ in group] + [0] * pad)
-    return tos, ws, width, moves
+def _layout(sec, after, weighted):
+    """sec's from-states numbered in first-seen order; a getter of each
+    branch's to-position in `after` (-1: the dead slot), state by state,
+    each padded to `width` by a dead branch of label 0; if weighted, the
+    label weights in that order; width; if weighted, per position its
+    (to-position, label) list."""
+    groups = {}
+    for b in sec:
+        groups.setdefault(b[0], []).append(b)
+    width = max(map(len, groups.values()), default=1)
+    flat = [b for g in groups.values()
+            for b in g + [(None, None, 0)] * (width - len(g))]
+    tos = [after.get(ns, -1) for _, ns, _ in flat]
+    get = itemgetter(*tos) if len(tos) > 1 else lambda v: [v[p] for p in tos]
+    ws = weighted and [bin(label).count("1") for _, _, label in flat]
+    moves = weighted and [[(after.get(ns, -1), label) for _, ns, label in g]
+                          for g in groups.values()]
+    return {s: i for i, s in enumerate(groups)}, get, ws, width, moves
 
 
 def trellis_dot(trellis: Trellis) -> str:

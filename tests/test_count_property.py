@@ -5,8 +5,8 @@ ran before it called count_paths, kept as the reference.  On random code
 and error trellises with masks (the generators of
 test_min_weight_property), on the hand-built trellises of
 test_decode_property, whose sections are lists, some empty, some repeated,
-with states of unequal branch counts, and on TIE_PAIR, count_paths must
-give the same exact int.  Below the cap it is the length of
+with states of unequal branch counts, on its CORNER_CASES and on TIE_PAIR,
+count_paths must give the same exact int.  Below the cap it is the length of
 enumerate_paths, and above it enumerate_paths refuses with that count.
 Within the oracle's horizon it is also the number of brute-force words,
 wherever no two paths carry one label sequence.
@@ -36,7 +36,7 @@ from shifttrellis import (
 )
 from shifttrellis.trellis import MAX_PATHS
 from pairs import TIE_PAIR, blocks
-from test_decode_property import hand_built
+from test_decode_property import CORNER_CASES, hand_built
 from test_golden import K7_PAIR
 from test_min_weight_property import SETTINGS, masks, matrices
 
@@ -106,6 +106,13 @@ def test_code_trellis_count_matches_reference(data):
 @given(hand_built())
 def test_hand_built_trellis_counts_like_reference(t):
     check(t)
+
+
+def test_hand_built_corner_cases_count_like_reference():
+    for t in CORNER_CASES:
+        check(t)
+        assert t.feasible == (count_paths(t) > 0)
+    assert [count_paths(t) for t in CORNER_CASES] == [3, 0, 2, 0, 0]
 
 
 def test_tie_pair_counts():

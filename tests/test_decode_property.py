@@ -16,7 +16,11 @@ up to 40, past the oracle's limit, and on TIE_PAIR; the sections must be
 equal tuples.  min_weight_path must return the identical (sequence,
 weight) or refuse the same inputs, also on hand-built trellises whose
 sections are lists, some empty, some repeated, with states of unequal
-branch counts.
+branch counts, and on the hand-picked CORNER_CASES: one section object
+before two different successors, a section 1 that does not start from
+state 0 (or starts from it second), an empty middle section and a
+branch into a dead end.  Trellis.feasible must say whether a path
+exists on each.
 """
 
 import itertools
@@ -304,12 +308,47 @@ def test_hand_built_trellis_decodes_like_reference(t):
     check_decode(t)
 
 
+# One section object before two different successors: A starts from
+# states 1 then 0, B from state 0 alone, so X's to-states land on other
+# positions after each.
+_X = [Branch(0, 0, 1), Branch(0, 1, 0), Branch(1, 0, 0), Branch(1, 1, 1)]
+_A = [Branch(1, 0, 1), Branch(0, 1, 1), Branch(0, 0, 0)]
+_B = [Branch(0, 0, 1)]
+SHARED_BEFORE_TWO = Trellis(1, 4, 1, (_X, _A, _X, _B))
+# Section 1 without state 0 among its from-states: no path at all.
+NO_START = Trellis(1, 2, 1, ([Branch(1, 0, 0), Branch(1, 1, 1)],
+                             [Branch(0, 0, 0), Branch(1, 0, 1)]))
+# Section 1 with state 0 second among its from-states.
+LATE_START = Trellis(1, 2, 1, ([Branch(1, 0, 0), Branch(0, 1, 1),
+                                Branch(0, 0, 1)],
+                               [Branch(0, 0, 1), Branch(1, 0, 0)]))
+# An empty middle section cuts every path.
+EMPTY_MIDDLE = Trellis(1, 3, 1, ([Branch(0, 0, 0), Branch(0, 1, 1)], [],
+                                 [Branch(0, 0, 0), Branch(1, 0, 1)]))
+# Not pruned: a path into section 2 that leads nowhere.
+DEAD_END = Trellis(1, 2, 1, ([Branch(0, 1, 0)], [Branch(0, 0, 0)]))
+CORNER_CASES = (SHARED_BEFORE_TWO, NO_START, LATE_START, EMPTY_MIDDLE,
+                DEAD_END)
+
+
 def test_hand_built_corner_cases():
     # an empty section: nothing gets through
     check_decode(Trellis(1, 2, 1, ([Branch(0, 0, 0)], [])))
     with pytest.raises(ValueError, match="no admissible path"):
         min_weight_path(Trellis(1, 1, 0, ([],)))
     assert Trellis(1, 1, 0, ([],)).feasible is False
+    for t in CORNER_CASES:
+        check_decode(t)
+    # three paths of weight 3: 0 1 1 1, 1 0 1 1 and 1 1 0 1
+    assert min_weight_path(SHARED_BEFORE_TWO) == (blocks("0 1 1 1"), 3)
+    assert min_weight_path(LATE_START) == (blocks("1 0"), 1)
+    assert SHARED_BEFORE_TWO.feasible and LATE_START.feasible
+    # feasible sees past section 1, also on the two-section trellis above
+    for t in (NO_START, EMPTY_MIDDLE, DEAD_END,
+              Trellis(1, 2, 1, ([Branch(0, 0, 0)], []))):
+        assert t.feasible is False
+        with pytest.raises(ValueError, match="no admissible path"):
+            min_weight_path(t)
     # every state with a single branch
     single = Trellis(1, 2, 1, ([Branch(0, 1, 1)], [Branch(1, 0, 0)]))
     check_decode(single)
