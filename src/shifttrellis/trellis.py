@@ -247,8 +247,8 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
 
     flush = (1 << n) - 1
     # The former is linear over GF(2): step(s, e) = step(s, 0) ^ step(0, e).
-    by_error = [step(0, e) for e in range(1 << n)]
-    by_state = {}
+    # Both tables fill on first use, after _sweep's size check.
+    by_error, by_state = [], {}
 
     def key_of(t):
         return (syndrome.block(t - 1),
@@ -256,6 +256,8 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
 
     def branches_for(key, state):
         want, forced = key
+        if not by_error:
+            by_error.extend([step(0, e) for e in range(1 << n)])
         if state not in by_state:
             by_state[state] = step(state, 0)
         drift, out0 = by_state[state]

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -291,6 +292,30 @@ def test_trellis_work_cap_exit_code(files, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: trellis too large: 2^1000 states")
+
+
+def test_wide_check_matrix_refused_before_any_work(files):
+    # One state but 2^40 error blocks per section.  Each child runs with
+    # capped memory and time, so a builder that tabled the blocks before
+    # its size check fails here instead of filling the machine.
+    h = files["tmp"] / "Hwide40.txt"
+    h.write_text(",".join(["1"] * 40) + "\n")
+    zeta = files["tmp"] / "zeta1.txt"
+    zeta.write_text("1\n")
+    z = files["tmp"] / "z40.txt"
+    z.write_text("0" * 40 + "\n")
+    cap = 1 << 28
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for cmd, word in (("error-trellis", zeta), ("decode", z)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shifttrellis", cmd, str(h), str(word)],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: trellis too large: 2^0 states x 1 sections x "
+                   "2^40 branches exceeds 16777216\n")
 
 
 def test_plan_exponent_cap_exit_code(files, capsys):

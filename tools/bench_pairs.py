@@ -1,16 +1,16 @@
 """Alternating parent/change pairs of perfbench runs, summarised as JSON.
 
-    python3 tools/bench_pairs.py --parent OLD --change NEW --pairs 10 \
-        --seconds 15 --out BENCH_13.json decode-k7 verify-1k suggest-r5
+    python3 tools/bench_pairs.py --parent OLD --change NEW \
+        --out BENCH_13.json decode-k7 verify-1k suggest-r5
 
 OLD and NEW are two checkouts of this repository, each with its own src/
-and perfbench/.  Pair i runs `perfbench/run.py --trace 0` once in each
-checkout with seed --seed + i, the parent first in even pairs and the
-change first in odd ones, one run at a time.  For every workload and
-end-to-end metric of BENCHMARK.json the output holds each side's median
-and quartiles, the ratio of the change's median to the parent's, and the
-pairs the change won, ties counting for neither; every run's values are
-kept beside them.
+and perfbench/.  Each of PAIRS pairs runs `perfbench/run.py --trace 0` for
+BENCHMARK.json's run_seconds once in each checkout, pair i with seed
+FIRST_SEED + i, the parent first in even pairs and the change first in odd
+ones, one run at a time.  For every workload and end-to-end metric of
+BENCHMARK.json the output holds each side's median and quartiles, the
+ratio of the change's median to the parent's, and the pairs the change
+won, ties counting for neither; every run's values are kept beside them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 701
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -62,29 +64,26 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--seed", type=int, default=701)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("workloads", nargs="+")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     report = {"host": {"python": platform.python_version(),
                        "machine": platform.machine(),
-                       "cpus": os.cpu_count()},
-              "pairs": args.pairs, "seconds": args.seconds,
-              "seeds": [args.seed + i for i in range(args.pairs)],
+                       "cpus": os.cpu_count(),
+                       "dont_write_bytecode": sys.dont_write_bytecode},
+              "pairs": PAIRS, "seconds": seconds,
+              "seeds": [FIRST_SEED + i for i in range(PAIRS)],
               "workloads": {}}
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change")
             for side in order if i % 2 == 0 else order[::-1]:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run(checkout, workload, args.seed + i,
-                                      args.seconds))
+                runs[side].append(run(checkout, workload, FIRST_SEED + i,
+                                      seconds))
             print(workload, i, {side: round(rs[-1]["ops_per_s"], 1)
                                 for side, rs in runs.items()}, flush=True)
         report["workloads"][workload] = {
