@@ -77,12 +77,9 @@ class Trellis:
 
     @property
     def feasible(self) -> bool:
-        """Whether any path runs from state 0 to state 0 at the end, found
-        by one backward reachability pass.  True at horizon 0."""
-        alive = {0}
-        for sec in reversed(self.sections):
-            alive = {b.from_state for b in sec if b.to_state in alive}
-        return 0 in alive
+        """Whether any path runs from state 0 to state 0 at the end, by the
+        exact path count.  True at horizon 0."""
+        return count_paths(self) > 0
 
     @property
     def state_count(self) -> int:
