@@ -196,7 +196,7 @@ def _trellis_report(t, fmt, extra=()):
     paths = format_sequences(enumerate_paths(t))
     if fmt == "json":
         return _dump({"stateBits": t.state_bits, "states": t.state_count,
-                      "horizon": t.horizon, "feasible": t.feasible,
+                      "horizon": t.horizon, "feasible": bool(paths),
                       "paths": paths})
     return "\n".join([f"state bits: {t.state_bits}", f"states: {t.state_count}",
                       *extra, f"paths: {len(paths)}", *_indented(paths)])
@@ -213,8 +213,9 @@ def cmd_error_trellis(args):
     if args.n_blocks is not None and args.n_blocks > len(syn):
         raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(syn)} blocks given")
     t = build_error_trellis(h, syn, n_real=args.n_blocks)
-    flag = "feasible: yes" if t.feasible else "feasible: no (infeasible syndrome)"
-    return _trellis_report(t, args.format, [flag]), 0 if t.feasible else 1
+    feasible = t.feasible
+    flag = "feasible: yes" if feasible else "feasible: no (infeasible syndrome)"
+    return _trellis_report(t, args.format, [flag]), 0 if feasible else 1
 
 
 def cmd_decode(args):
@@ -248,8 +249,10 @@ def cmd_verify(args):
         raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
     n_real = args.n_blocks if args.n_blocks is not None else len(z)
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
-    errors, codes, recon, mismatch = map(format_sequences, (
-        rep.error_paths, rep.code_paths, rep.reconstructed, rep.mismatch))
+    errors, codes, mismatch = map(format_sequences, (
+        rep.error_paths, rep.code_paths, rep.mismatch))
+    recon = (codes if rep.reconstructed is rep.code_paths
+             else format_sequences(rep.reconstructed))
     if args.format == "json":
         text = _dump({
             "window": rep.window,

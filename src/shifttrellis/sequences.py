@@ -114,6 +114,9 @@ def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """reconstructed is reconstruct_code_paths(z_shifted, error_paths) as a
+    tuple; on a pass with distinct code paths, the code_paths tuple itself."""
+
     reduction: ReductionReport
     n_real: int
     window: int
@@ -156,7 +159,8 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     code-trellis paths coincide, as a set, with the shifted received data
     xor each reduced error-trellis path; that equality is exactly the
     path-level statement of simultaneous reduction.  On failure the report
-    carries the symmetric difference.
+    carries the symmetric difference.  On a pass with distinct code paths,
+    reconstructed is the code_paths tuple itself, not a copy.
     """
     if z.block_width != pair.n:
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
@@ -182,12 +186,15 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
 
     err_paths = enumerate_paths(
         build_error_trellis(h_fin, zeta, n_real=window, masks=masks))
-    code_paths = enumerate_paths(
-        build_code_trellis(g_fin, window, masks=masks))
-    recon = reconstruct_code_paths(z_sh, err_paths)
+    code_paths = tuple(enumerate_paths(
+        build_code_trellis(g_fin, window, masks=masks)))
 
     # Both lists have the window x n shape of z_sh, so their ints compare.
-    c_set, y_set = set(map(_bits, code_paths)), set(map(_bits, recon))
+    c_set = set(map(_bits, code_paths))
+    y_set = set(map(xor, map(_bits, err_paths), repeat(z_sh.bits)))
+    # enumerate_paths sorts: if distinct, code_paths is the reconstruction
+    recon = (code_paths if c_set == y_set and len(c_set) == len(code_paths)
+             else tuple(reconstruct_code_paths(z_sh, err_paths)))
     return VerifyReport(
         reduction=red,
         n_real=n_real,
@@ -196,9 +203,9 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         z_shifted=z_sh,
         shifted_syndrome=zeta,
         masks=masks,
-        code_paths=tuple(code_paths),
+        code_paths=code_paths,
         error_paths=tuple(err_paths),
-        reconstructed=tuple(recon),
+        reconstructed=recon,
         code_states_before=1 << red.nu_before,
         code_states_after=1 << red.nu_after,
         error_states_before=1 << red.nu_before_dual,

@@ -201,6 +201,34 @@ def test_error_trellis_infeasible(files, capsys):
     assert "feasible: no (infeasible syndrome)" in out
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (("code-trellis", "g", "--n-blocks", "4"), {"text": 1, "json": 1,
+                                                "dot": 0}),
+    (("error-trellis", "h", "zeta"), {"text": 2, "json": 2, "dot": 1}),
+])
+def test_trellis_commands_count_paths_once_per_read(files, capsys,
+                                                    monkeypatch, argv,
+                                                    counts):
+    # feasibility is read once and JSON takes it from the path list, so a
+    # report counts once for that and once in enumerate_paths' cap check
+    import shifttrellis.trellis as trellis
+
+    calls = []
+    count_paths = trellis.count_paths
+
+    def counted(t):
+        calls.append(t)
+        return count_paths(t)
+
+    monkeypatch.setattr(trellis, "count_paths", counted)
+    cmd, *rest = argv
+    for fmt, want in counts.items():
+        calls.clear()
+        rc, _, _ = run(capsys, cmd, *(files.get(a, a) for a in rest),
+                       "--format", fmt)
+        assert (rc, len(calls)) == (0, want), fmt
+
+
 def test_decode(files, capsys):
     rc, out, _ = run(capsys, "decode", files["h"], files["z"])
     assert rc == 0

@@ -9,7 +9,10 @@ both reduced trellises must list exactly what brute force lists for the
 reduced matrices and masks over the verify window; the shifted codewords
 of the original G must be among the reduced code paths.  Four-vector
 plans whose combined exponent differs between columns must be refused as
-C_SR violations wherever a plan is built from them.
+C_SR violations wherever a plan is built from them.  On every pair,
+whole code or not, the report's reconstruction must be what
+reconstruct_code_paths lists, and the code-path tuple itself exactly
+when the check passes with distinct code paths.
 """
 
 import functools
@@ -29,6 +32,7 @@ from shifttrellis import (
     make_type2_plan,
     memory,
     parse_plan,
+    reconstruct_code_paths,
     shift_received,
     verify_simultaneous_reduction,
 )
@@ -101,17 +105,23 @@ def unmasked(paths, masks):
             if not any(p.bit(t, j) for t, cols in masks.items() for j in cols)}
 
 
-@SETTINGS
-@given(st.data())
-def test_random_reductions_verify_and_match_the_oracle(data):
+def verify_case(data, whole_code):
+    """A random pair (one whose G generates the whole code of H, if
+    whole_code), a reduction plan, n_real and a word of n_real blocks."""
     pair = data.draw(rate1_pairs(max_n=4, max_degree=2, max_delay=1))
-    assume(generates_whole_code(pair))
+    assume(not whole_code or generates_whole_code(pair))
     plan = data.draw(reduction_plans(pair))
     n_real = data.draw(st.integers(1, 3))
     bit = st.integers(0, 1)
     z = from_bit_tuples(pair.n, data.draw(st.lists(
         st.tuples(*[bit] * pair.n), min_size=n_real, max_size=n_real)))
+    return pair, plan, z, n_real
 
+
+@SETTINGS
+@given(st.data())
+def test_random_reductions_verify_and_match_the_oracle(data):
+    pair, plan, z, n_real = verify_case(data, whole_code=True)
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
     assert rep.passed
 
@@ -127,6 +137,17 @@ def test_random_reductions_verify_and_match_the_oracle(data):
         shifted = {shift_received(c.padded(window), plan, n_real)
                    for c in brute_codewords(pair.G, n_real)}
         assert shifted <= set(rep.code_paths)
+
+
+@SETTINGS
+@given(st.data())
+def test_reconstructed_is_the_code_paths_on_distinct_passes(data):
+    # without the whole-code filter some reductions fail verify
+    rep = verify_simultaneous_reduction(*verify_case(data, whole_code=False))
+    assert rep.reconstructed == tuple(
+        reconstruct_code_paths(rep.z_shifted, rep.error_paths))
+    distinct = len(set(rep.code_paths)) == len(rep.code_paths)
+    assert (rep.reconstructed is rep.code_paths) == (rep.passed and distinct)
 
 
 @SETTINGS
