@@ -9,6 +9,7 @@ sequences.
 from shifttrellis import (
     build_code_trellis,
     build_error_trellis,
+    count_paths,
     enumerate_paths,
     format_blocks,
     min_weight_path,
@@ -34,7 +35,8 @@ print(f"received z = {format_blocks(z)}  (last block is flush padding)")
 print(f"syndrome   = {format_blocks(zeta)}")
 
 err = build_error_trellis(H, zeta)
-print(f"error trellis: {err.state_count} states, feasible: {err.feasible}")
+print(f"error trellis: {err.state_count} states, "
+      f"feasible: {count_paths(err) > 0}")
 for e in enumerate_paths(err):
     print(f"  {format_blocks(e)}  ->  y = {format_blocks(z ^ e)}")
 

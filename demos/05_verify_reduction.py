@@ -29,22 +29,24 @@ print(f"window: {rep.window} blocks ({rep.n_real} real)")
 print(f"z padded : {format_blocks(rep.z_padded)}")
 print(f"z shifted: {format_blocks(rep.z_shifted)}")
 print(f"syndrome : {format_blocks(rep.shifted_syndrome)}")
-print(f"code states  {rep.code_states_before} -> {rep.code_states_after}")
-print(f"error states {rep.error_states_before} -> {rep.error_states_after}")
+red = rep.reduction
+print(f"code states  {1 << red.nu_before} -> {1 << red.nu_after}")
+print(f"error states {1 << red.nu_before_dual} -> {1 << red.nu_after_dual}")
 print("boundary masks (section -> zero-forced columns):")
 for t, cols in rep.masks.items():
     print(f"  t={t}: {sorted(cols)}")
 
 print()
 print("error paths and the code paths they reconstruct:")
-for e, y in zip(rep.error_paths, rep.reconstructed):
-    print(f"  e' = {format_blocks(e)}   z'+e' = {format_blocks(y)}")
+for e in rep.error_paths:
+    print(f"  e' = {format_blocks(e)}   "
+          f"z'+e' = {format_blocks(e ^ rep.z_shifted)}")
 
 print()
 print(f"path sets coincide: {rep.passed}")
 
 ref = brute_errors(pair.H, rep.shifted_syndrome, n_real=rep.window)
-hint = rep.reduction.transformed_pair.H
+hint = red.transformed_pair.H
 ref_reduced = brute_errors(hint, rep.shifted_syndrome,
                            n_real=rep.window, masks=rep.masks)
 assert_equal_path_sets(ref_reduced, rep.error_paths, "brute force vs trellis")

@@ -35,7 +35,11 @@ from .gf2poly import (
     parse_matrix,
 )
 from .oracle import brute_codewords, brute_errors, random_feasible_syndrome
-from .sequences import syndrome, verify_simultaneous_reduction
+from .sequences import (
+    reconstruct_code_paths,
+    syndrome,
+    verify_simultaneous_reduction,
+)
 from .transform import (
     apply_plan,
     format_plan,
@@ -47,6 +51,7 @@ from .transform import (
 from .trellis import (
     build_code_trellis,
     build_error_trellis,
+    count_paths,
     enumerate_paths,
     min_weight_path,
     trellis_dot,
@@ -188,12 +193,10 @@ def cmd_reduce(args):
     return text, 0
 
 
-def _trellis_report(t, fmt, extra=()):
-    """Trellis t as DOT, or its state counts and every path as JSON or as
-    text, with the extra lines after the state count."""
-    if fmt == "dot":
-        return trellis_dot(t)
-    paths = format_sequences(enumerate_paths(t))
+def _trellis_report(t, fmt, paths, extra=()):
+    """Trellis t's state counts and its listed paths as JSON or as text,
+    with the extra lines after the state count."""
+    paths = format_sequences(paths)
     if fmt == "json":
         return _dump({"stateBits": t.state_bits, "states": t.state_count,
                       "horizon": t.horizon, "feasible": bool(paths),
@@ -204,7 +207,9 @@ def _trellis_report(t, fmt, extra=()):
 
 def cmd_code_trellis(args):
     t = build_code_trellis(_load(parse_matrix, args.g), args.n_blocks)
-    return _trellis_report(t, args.format), 0
+    if args.format == "dot":
+        return trellis_dot(t), 0
+    return _trellis_report(t, args.format, enumerate_paths(t)), 0
 
 
 def cmd_error_trellis(args):
@@ -213,9 +218,11 @@ def cmd_error_trellis(args):
     if args.n_blocks is not None and args.n_blocks > len(syn):
         raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(syn)} blocks given")
     t = build_error_trellis(h, syn, n_real=args.n_blocks)
-    feasible = t.feasible
-    flag = "feasible: yes" if feasible else "feasible: no (infeasible syndrome)"
-    return _trellis_report(t, args.format, [flag]), 0 if feasible else 1
+    if args.format == "dot":
+        return trellis_dot(t), 0 if count_paths(t) else 1
+    paths = enumerate_paths(t)
+    flag = "feasible: yes" if paths else "feasible: no (infeasible syndrome)"
+    return _trellis_report(t, args.format, paths, [flag]), 0 if paths else 1
 
 
 def cmd_decode(args):
@@ -251,8 +258,12 @@ def cmd_verify(args):
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
     errors, codes, mismatch = map(format_sequences, (
         rep.error_paths, rep.code_paths, rep.mismatch))
-    recon = (codes if rep.reconstructed is rep.code_paths
-             else format_sequences(rep.reconstructed))
+    # On PASS the xor side is the set of code paths, distinct and sorted.
+    recon = codes if rep.passed else format_sequences(
+        reconstruct_code_paths(rep.z_shifted, rep.error_paths))
+    red = rep.reduction
+    code_states = 1 << red.nu_before, 1 << red.nu_after
+    error_states = 1 << red.nu_before_dual, 1 << red.nu_after_dual
     if args.format == "json":
         text = _dump({
             "window": rep.window,
@@ -260,12 +271,12 @@ def cmd_verify(args):
             "zPadded": format_blocks(rep.z_padded),
             "zShifted": format_blocks(rep.z_shifted),
             "syndrome": format_blocks(rep.shifted_syndrome),
-            "nuBefore": rep.reduction.nu_before,
-            "nuAfter": rep.reduction.nu_after,
-            "codeStatesBefore": rep.code_states_before,
-            "codeStatesAfter": rep.code_states_after,
-            "errorStatesBefore": rep.error_states_before,
-            "errorStatesAfter": rep.error_states_after,
+            "nuBefore": red.nu_before,
+            "nuAfter": red.nu_after,
+            "codeStatesBefore": code_states[0],
+            "codeStatesAfter": code_states[1],
+            "errorStatesBefore": error_states[0],
+            "errorStatesAfter": error_states[1],
             "errorPaths": errors,
             "codePaths": codes,
             "reconstructed": recon,
@@ -277,12 +288,10 @@ def cmd_verify(args):
             f"z (padded): {format_blocks(rep.z_padded)}",
             f"z (shifted): {format_blocks(rep.z_shifted)}",
             f"syndrome: {format_blocks(rep.shifted_syndrome)}",
-            f"nu: {rep.reduction.nu_before} -> {rep.reduction.nu_after} "
-            f"(dual {rep.reduction.nu_before_dual} -> "
-            f"{rep.reduction.nu_after_dual})",
-            f"code states: {rep.code_states_before} -> {rep.code_states_after}",
-            f"error states: {rep.error_states_before} -> "
-            f"{rep.error_states_after}",
+            f"nu: {red.nu_before} -> {red.nu_after} "
+            f"(dual {red.nu_before_dual} -> {red.nu_after_dual})",
+            f"code states: {code_states[0]} -> {code_states[1]}",
+            f"error states: {error_states[0]} -> {error_states[1]}",
             f"error paths ({len(errors)}):", *_indented(errors),
             f"code paths ({len(codes)}):", *_indented(codes),
             f"reconstructed ({len(recon)}):", *_indented(recon)]

@@ -114,8 +114,8 @@ def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """reconstructed is reconstruct_code_paths(z_shifted, error_paths) as a
-    tuple; on a pass with distinct code paths, the code_paths tuple itself."""
+    """What verify_simultaneous_reduction computed; each trellis's nominal
+    state count is 2^nu of reduction."""
 
     reduction: ReductionReport
     n_real: int
@@ -126,11 +126,6 @@ class VerifyReport:
     masks: dict
     code_paths: tuple
     error_paths: tuple
-    reconstructed: tuple
-    code_states_before: int
-    code_states_after: int
-    error_states_before: int
-    error_states_after: int
     passed: bool
     mismatch: tuple
 
@@ -159,8 +154,8 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     code-trellis paths coincide, as a set, with the shifted received data
     xor each reduced error-trellis path; that equality is exactly the
     path-level statement of simultaneous reduction.  On failure the report
-    carries the symmetric difference.  On a pass with distinct code paths,
-    reconstructed is the code_paths tuple itself, not a copy.
+    carries the symmetric difference; reconstruct_code_paths lists the
+    xor side.
     """
     if z.block_width != pair.n:
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
@@ -192,9 +187,6 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     # Both lists have the window x n shape of z_sh, so their ints compare.
     c_set = set(map(_bits, code_paths))
     y_set = set(map(xor, map(_bits, err_paths), repeat(z_sh.bits)))
-    # enumerate_paths sorts: if distinct, code_paths is the reconstruction
-    recon = (code_paths if c_set == y_set and len(c_set) == len(code_paths)
-             else tuple(reconstruct_code_paths(z_sh, err_paths)))
     return VerifyReport(
         reduction=red,
         n_real=n_real,
@@ -205,11 +197,6 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         masks=masks,
         code_paths=code_paths,
         error_paths=tuple(err_paths),
-        reconstructed=recon,
-        code_states_before=1 << red.nu_before,
-        code_states_after=1 << red.nu_after,
-        error_states_before=1 << red.nu_before_dual,
-        error_states_after=1 << red.nu_after_dual,
         passed=c_set == y_set,
         mismatch=tuple(BlockSequence(z_sh.block_width, window, bits)
                        for bits in sorted(c_set ^ y_set)))

@@ -76,12 +76,6 @@ class Trellis:
                 f"{len(self.sections)} sections for horizon {self.horizon}")
 
     @property
-    def feasible(self) -> bool:
-        """Whether any path runs from state 0 to state 0 at the end, by the
-        exact path count.  True at horizon 0."""
-        return count_paths(self) > 0
-
-    @property
     def state_count(self) -> int:
         return 1 << self.state_bits
 
@@ -214,7 +208,7 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     sections are flush, with every error bit forced to zero (the trailing
     syndrome blocks come from draining the former).  Passing n_real moves
     that boundary, and masks adds per-section forced-zero columns.  A
-    syndrome nobody can produce yields an empty trellis, not feasible.
+    syndrome nobody can produce yields a trellis with no path.
     """
     m, n = H.rows, H.cols
     if syndrome.block_width != m:

@@ -116,8 +116,9 @@ def test_criterion_4_end_to_end_verify():
         == Y_MAIN_RED
     assert rep.code_paths == Y_MAIN_RED
     assert rep.passed
-    assert (rep.code_states_before, rep.code_states_after) == (4, 2)
-    assert (rep.error_states_before, rep.error_states_after) == (4, 2)
+    red = rep.reduction
+    assert (1 << red.nu_before, 1 << red.nu_after) == (4, 2)
+    assert (1 << red.nu_before_dual, 1 << red.nu_after_dual) == (4, 2)
     print("criterion 4: PASS  end-to-end verify, four paths each side, "
           "states 4 -> 2")
 

@@ -201,32 +201,65 @@ def test_error_trellis_infeasible(files, capsys):
     assert "feasible: no (infeasible syndrome)" in out
 
 
+def counted_calls(monkeypatch, name, *modules):
+    """Every call of the function name, patched in each module that binds
+    it, appended to the returned list."""
+    calls, real = [], getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("argv, counts", [
     (("code-trellis", "g", "--n-blocks", "4"), {"text": 1, "json": 1,
                                                 "dot": 0}),
-    (("error-trellis", "h", "zeta"), {"text": 2, "json": 2, "dot": 1}),
+    (("error-trellis", "h", "zeta"), {"text": 1, "json": 1, "dot": 1}),
 ])
 def test_trellis_commands_count_paths_once_per_read(files, capsys,
                                                     monkeypatch, argv,
                                                     counts):
-    # feasibility is read once and JSON takes it from the path list, so a
-    # report counts once for that and once in enumerate_paths' cap check
+    # a listed report counts once, in enumerate_paths' cap check, and takes
+    # feasibility from the list; only an error-trellis DOT counts for it
+    import shifttrellis.cli as cli
     import shifttrellis.trellis as trellis
 
-    calls = []
-    count_paths = trellis.count_paths
-
-    def counted(t):
-        calls.append(t)
-        return count_paths(t)
-
-    monkeypatch.setattr(trellis, "count_paths", counted)
+    calls = counted_calls(monkeypatch, "count_paths", trellis, cli)
     cmd, *rest = argv
     for fmt, want in counts.items():
         calls.clear()
         rc, _, _ = run(capsys, cmd, *(files.get(a, a) for a in rest),
                        "--format", fmt)
         assert (rc, len(calls)) == (0, want), fmt
+
+
+# The golden "subcode" fixture: G' generates only a subcode, so verify fails.
+SUBCODE = {"g": "D,D+D^2,0,0;0,0,D,0;0,D+D^2,0,D", "h": "1+D,1,0,1+D",
+           "plan": "1 1 0 0\n1 0 0 1\n1 1 0 0\n1 1 0 0", "z": "0000 0000"}
+
+
+@pytest.mark.parametrize("inputs, status, want", [({}, 0, 0),
+                                                  (SUBCODE, 1, 1)])
+def test_verify_reconstructs_only_on_fail(files, capsys, monkeypatch,
+                                          inputs, status, want):
+    # on PASS the reconstructed listing is the code-path listing
+    import shifttrellis.cli as cli
+    import shifttrellis.sequences as sequences
+
+    for name, text in inputs.items():
+        with open(files[name], "w") as f:
+            f.write(text + "\n")
+    calls = counted_calls(monkeypatch, "reconstruct_code_paths",
+                          sequences, cli)
+    for fmt in ("text", "json"):
+        calls.clear()
+        rc, _, _ = run(capsys, "verify", files["g"], files["h"], files["z"],
+                       "--plan", files["plan"], "--format", fmt)
+        assert (rc, len(calls)) == (status, want), fmt
 
 
 def test_decode(files, capsys):

@@ -19,8 +19,8 @@ sections are lists, some empty, some repeated, with states of unequal
 branch counts, and on the hand-picked CORNER_CASES: one section object
 before two different successors, a section 1 that does not start from
 state 0 (or starts from it second), an empty middle section and a
-branch into a dead end.  Trellis.feasible must say whether a path
-exists on each.
+branch into a dead end.  count_paths must say whether a path exists
+on each.
 """
 
 import itertools
@@ -39,6 +39,7 @@ from shifttrellis import (
     Trellis,
     build_code_trellis,
     build_error_trellis,
+    count_paths,
     exponents,
     memory,
     min_weight_path,
@@ -336,17 +337,17 @@ def test_hand_built_corner_cases():
     check_decode(Trellis(1, 2, 1, ([Branch(0, 0, 0)], [])))
     with pytest.raises(ValueError, match="no admissible path"):
         min_weight_path(Trellis(1, 1, 0, ([],)))
-    assert Trellis(1, 1, 0, ([],)).feasible is False
+    assert count_paths(Trellis(1, 1, 0, ([],))) == 0
     for t in CORNER_CASES:
         check_decode(t)
     # three paths of weight 3: 0 1 1 1, 1 0 1 1 and 1 1 0 1
     assert min_weight_path(SHARED_BEFORE_TWO) == (blocks("0 1 1 1"), 3)
     assert min_weight_path(LATE_START) == (blocks("1 0"), 1)
-    assert SHARED_BEFORE_TWO.feasible and LATE_START.feasible
-    # feasible sees past section 1, also on the two-section trellis above
+    assert count_paths(SHARED_BEFORE_TWO) > 0 and count_paths(LATE_START) > 0
+    # count_paths sees past section 1, also on the two-section trellis above
     for t in (NO_START, EMPTY_MIDDLE, DEAD_END,
               Trellis(1, 2, 1, ([Branch(0, 0, 0)], []))):
-        assert t.feasible is False
+        assert count_paths(t) == 0
         with pytest.raises(ValueError, match="no admissible path"):
             min_weight_path(t)
     # every state with a single branch

@@ -10,9 +10,9 @@ reduced matrices and masks over the verify window; the shifted codewords
 of the original G must be among the reduced code paths.  Four-vector
 plans whose combined exponent differs between columns must be refused as
 C_SR violations wherever a plan is built from them.  On every pair,
-whole code or not, the report's reconstruction must be what
-reconstruct_code_paths lists, and the code-path tuple itself exactly
-when the check passes with distinct code paths.
+whole code or not, the code paths must be distinct, and verify must pass
+exactly when they equal z' xor the error paths as a set, reporting their
+sorted symmetric difference as the mismatch.
 """
 
 import functools
@@ -32,7 +32,6 @@ from shifttrellis import (
     make_type2_plan,
     memory,
     parse_plan,
-    reconstruct_code_paths,
     shift_received,
     verify_simultaneous_reduction,
 )
@@ -141,13 +140,14 @@ def test_random_reductions_verify_and_match_the_oracle(data):
 
 @SETTINGS
 @given(st.data())
-def test_reconstructed_is_the_code_paths_on_distinct_passes(data):
+def test_verify_compares_distinct_code_paths_with_z_xor_error_paths(data):
     # without the whole-code filter some reductions fail verify
     rep = verify_simultaneous_reduction(*verify_case(data, whole_code=False))
-    assert rep.reconstructed == tuple(
-        reconstruct_code_paths(rep.z_shifted, rep.error_paths))
-    distinct = len(set(rep.code_paths)) == len(rep.code_paths)
-    assert (rep.reconstructed is rep.code_paths) == (rep.passed and distinct)
+    codes = set(rep.code_paths)
+    assert len(codes) == len(rep.code_paths)
+    xored = {rep.z_shifted ^ e for e in rep.error_paths}
+    assert rep.passed == (codes == xored)
+    assert rep.mismatch == tuple(sorted(codes ^ xored))
 
 
 @SETTINGS

@@ -174,9 +174,9 @@ def test_verify_main_pair():
     assert rep.masks == MAIN_MASKS
     assert rep.error_paths == E_MAIN_RED
     assert rep.code_paths == Y_MAIN_RED
-    assert rep.reconstructed is rep.code_paths
-    assert (rep.code_states_before, rep.code_states_after) == (4, 2)
-    assert (rep.error_states_before, rep.error_states_after) == (4, 2)
+    red = rep.reduction
+    assert (red.nu_before, red.nu_after) == (2, 1)
+    assert (red.nu_before_dual, red.nu_after_dual) == (2, 1)
 
 
 def test_verify_fail_rebuilds_the_reconstruction():
@@ -186,32 +186,14 @@ def test_verify_fail_rebuilds_the_reconstruction():
     plan = parse_plan("1 1 0 0\n1 0 0 1\n1 1 0 0\n1 1 0 0")
     rep = verify_simultaneous_reduction(sub, plan, parse_blocks("0000 0000"), 2)
     assert not rep.passed
-    assert rep.reconstructed is not rep.code_paths
     assert len(rep.code_paths) == 8
-    assert rep.reconstructed == tuple(
-        reconstruct_code_paths(rep.z_shifted, rep.error_paths))
     # z' is zero, so the reconstruction is the 16 error paths themselves
-    assert len(rep.reconstructed) == 16
-    assert rep.reconstructed == rep.error_paths
+    recon = reconstruct_code_paths(rep.z_shifted, rep.error_paths)
+    assert len(recon) == 16
+    assert tuple(recon) == rep.error_paths
     assert rep.mismatch == tuple(
         blocks(f"{a} {b} 0000 0000") for a in ("1001", "1011")
         for b in ("0000", "0010", "1001", "1011"))
-
-
-def test_verify_repeated_code_paths_are_deduped(monkeypatch):
-    # A valid pair's terminated code paths are distinct (G has full row
-    # rank), so the repeats are made by listing every path twice.
-    import shifttrellis.sequences as sequences
-
-    listed = sequences.enumerate_paths
-    monkeypatch.setattr(sequences, "enumerate_paths",
-                        lambda t: [p for p in listed(t) for _ in (0, 1)])
-    rep = verify_simultaneous_reduction(MAIN_PAIR, MAIN_PLAN, Z_MAIN, 4)
-    assert rep.passed
-    assert len(rep.code_paths) == 2 * len(Y_MAIN_RED)
-    assert rep.reconstructed is not rep.code_paths
-    assert rep.reconstructed == Y_MAIN_RED
-    assert rep.mismatch == ()
 
 
 def test_verify_identity_plan():
@@ -220,7 +202,7 @@ def test_verify_identity_plan():
     assert rep.passed
     # over the 6-block window the two pad sections are masked whole
     assert rep.masks == {5: frozenset({1, 2, 3}), 6: frozenset({1, 2, 3})}
-    assert rep.code_states_after == rep.code_states_before
+    assert rep.reduction.nu_after == rep.reduction.nu_before
 
 
 def test_verify_chain_pair_both_orders():
