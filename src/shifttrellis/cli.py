@@ -427,7 +427,7 @@ def build_parser():
     p.add_argument("--n-blocks", type=_count, default=4, metavar="N")
     p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
-    out_format(p)
+    out_format(p, choices=("text",))
     p.set_defaults(func=cmd_oracle)
 
     return ap

@@ -1,15 +1,17 @@
 """Brute-force ground truth for desk-size instances.
 
-Nothing here touches the trellis builders: codewords come from direct
-polynomial encoding and error sets from solving the syndrome convolution
-as a GF(2) linear system.  Agreement between these and the trellis path
-sets is the strongest check the package has.
+Nothing here runs the trellis builders.  Both sets are affine GF(2) spaces
+over packed ints: the codewords span the encoder's responses to single
+input bits, and the error sequences are one solution of the syndrome
+convolution plus the span of its kernel.  Agreement between these and the
+trellis path sets is the strongest check the package has.
 """
 
 from __future__ import annotations
 
 from .blocks import BlockSequence, format_blocks, from_columns
-from .gf2poly import PolyMatrix, exponents, memory, poly_mul
+from .gf2poly import PolyMatrix, exponents, memory
+from .trellis import _norm_masks
 
 
 # Longest horizon, and most free bits (log2 of the words listed), that the
@@ -18,12 +20,37 @@ MAX_HORIZON = 6
 MAX_INFO_BITS = 16
 
 
+def _echelon(rows):
+    """Reduced echelon form over GF(2) of packed-int rows: (pivot bit, row)
+    pairs, each pivot the lowest bit of its row when it entered and clear
+    in every other row.  Rows that reduce to zero are dropped."""
+    pivots = []
+    for row in rows:
+        for bit, prow in pivots:
+            if row >> bit & 1:
+                row ^= prow
+        if row:
+            bit = (row & -row).bit_length() - 1
+            pivots = [(b, p ^ row if p >> bit & 1 else p) for b, p in pivots]
+            pivots.append((bit, row))
+    return pivots
+
+
+def _span(offset, basis):
+    """Every xor of offset with a subset of basis, sorted and distinct."""
+    words = {offset}
+    for b in basis:
+        words |= {w ^ b for w in words}
+    return sorted(words)
+
+
 def brute_codewords(G: PolyMatrix, n_real: int):
     """All terminated codeword sequences of G over n_real blocks, sorted.
 
     Information bits run free for n_real - memory(G) steps with a zero
-    tail, mirroring the terminated encoder.  Raises when the horizon is
-    too short to terminate or the enumeration would exceed the caps.
+    tail, mirroring the terminated encoder, so the codewords are the span
+    of the responses to one input bit.  Raises when the horizon is too
+    short to terminate or the enumeration would exceed the caps.
     """
     mem = memory(G)
     if n_real < mem:
@@ -35,17 +62,10 @@ def brute_codewords(G: PolyMatrix, n_real: int):
     if free > MAX_INFO_BITS:
         raise ValueError(
             f"enumeration needs 2^{free} words, cap is 2^{MAX_INFO_BITS}")
-    out = set()
-    for word in range(1 << free):
-        ys = []
-        for j in range(1, G.cols + 1):
-            acc = 0
-            for i in range(1, G.rows + 1):
-                u = word >> (i - 1) * steps & (1 << steps) - 1
-                acc ^= poly_mul(u, G.entry(i, j))
-            ys.append(acc)
-        out.add(from_columns(G.cols, n_real, ys))
-    return sorted(out)
+    n = G.cols
+    units = [from_columns(n, n_real, [e << t for e in G.row(i)]).bits
+             for i in range(1, G.rows + 1) for t in range(steps)]
+    return [BlockSequence(n, n_real, y) for y in _span(0, units)]
 
 
 def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
@@ -70,63 +90,34 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
     if n_real > MAX_HORIZON:
         raise ValueError(f"horizon {n_real} exceeds cap {MAX_HORIZON}")
 
-    forced = {(t, j) for t in range(n_real + 1, horizon + 1)
-              for j in range(1, n + 1)}
-    for t, cols in (masks or {}).items():
-        forced.update((t, j) for j in cols)
-    variables = [(t, j) for t in range(1, horizon + 1)
-                 for j in range(1, n + 1) if (t, j) not in forced]
-    index = {v: k for k, v in enumerate(variables)}
-    nv = len(variables)
-    rhs_bit = 1 << nv
-
+    # Bit (horizon - t) * n + n - j is column j of block t; the right-hand
+    # side sits above them all, at bit rhs.
+    rhs = horizon * n
+    unknown = (1 << rhs) - (1 << max(horizon - n_real, 0) * n)
+    for t, block in _norm_masks(masks, horizon, n).items():
+        unknown &= ~(block << (horizon - t) * n)
     rows = []
     for t in range(1, horizon + 1):
         for i in range(1, m + 1):
-            row = rhs_bit if syn.bit(t, i) else 0
+            row = syn.bit(t, i) << rhs
             for j in range(1, n + 1):
                 for d in exponents(H.entry(i, j)):
-                    if (t - d, j) in index:
-                        row ^= 1 << index[(t - d, j)]
-            rows.append(row)
+                    if d < t:
+                        row ^= 1 << (horizon - t + d) * n + n - j
+            rows.append(row & (unknown | 1 << rhs))
 
-    # Reduced echelon form over GF(2); pivots kept clear of each other so
-    # back-substitution only ever reads free columns.
-    pivots = []
-    for row in rows:
-        for col, prow in pivots:
-            if row >> col & 1:
-                row ^= prow
-        if row == 0:
-            continue
-        mask = row & rhs_bit - 1
-        if mask == 0:
-            return []
-        col = (mask & -mask).bit_length() - 1
-        for k, (c, prow) in enumerate(pivots):
-            if prow >> col & 1:
-                pivots[k] = (c, prow ^ row)
-        pivots.append((col, row))
-
-    pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(nv) if c not in pivot_cols]
-    if len(free_cols) > MAX_INFO_BITS:
+    pivots = _echelon(rows)
+    if any(bit == rhs for bit, _ in pivots):
+        return []
+    free = unknown - sum(1 << bit for bit, _ in pivots)
+    kernel = [1 << f | sum(1 << bit for bit, row in pivots if row >> f & 1)
+              for f in exponents(free)]
+    if len(kernel) > MAX_INFO_BITS:
         raise ValueError(
-            f"solution space needs 2^{len(free_cols)} words, cap is "
+            f"solution space needs 2^{len(kernel)} words, cap is "
             f"2^{MAX_INFO_BITS}")
-
-    out = set()
-    for assign in range(1 << len(free_cols)):
-        val = {c: assign >> k & 1 for k, c in enumerate(free_cols)}
-        for c, row in pivots:
-            x = row >> nv & 1
-            for k in exponents(row & (rhs_bit - 1) & ~(1 << c)):
-                x ^= val[k]
-            val[c] = x
-        out.add(BlockSequence(n, horizon, sum(
-            val[k] << (horizon - t) * n + n - j
-            for (t, j), k in index.items())))
-    return sorted(out)
+    e0 = sum(1 << bit for bit, row in pivots if row >> rhs & 1)
+    return [BlockSequence(n, horizon, e) for e in _span(e0, kernel)]
 
 
 def random_feasible_syndrome(H: PolyMatrix, n_real: int, rng) -> BlockSequence:

@@ -200,7 +200,6 @@ def suggest_backward_shift(H: PolyMatrix) -> tuple:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    original_pair: GHPair
     plan: ShiftPlan
     transformed_pair: GHPair
     row_divisions_applied: dict
@@ -227,7 +226,6 @@ def simultaneous_reduce(pair: GHPair, plan: ShiftPlan) -> ReductionReport:
         raise RuntimeError(f"GH relation broken: {exc}") from None
     (nu_b, nu_bd), (nu_a, nu_ad) = pair.nu, reduced.nu
     return ReductionReport(
-        original_pair=pair,
         plan=plan,
         transformed_pair=reduced,
         row_divisions_applied={"G": g_exps, "H": h_exps},

@@ -317,6 +317,13 @@ def test_oracle(files, capsys):
     assert sum(1 for ln in lines if ln.startswith("syndrome trial")) == 4
 
 
+def test_oracle_prints_text_only(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", files["g"], files["h"], "--format", "json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(files, capsys):
     junk = files["tmp"] / "junk.txt"
     junk.write_text("D^,1\n")

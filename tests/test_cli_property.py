@@ -93,7 +93,7 @@ COMMANDS = {
     "decode": ("hz", {"--n-blocks": COUNT}, ("text", "json")),
     "verify": ("ghzp", {"--n-blocks": COUNT}, ("text", "json")),
     "oracle": ("gh", {"--n-blocks": COUNT, "--trials": st.integers(0, 3),
-                      "--seed": st.integers(-3, 3)}, ("text", "json")),
+                      "--seed": st.integers(-3, 3)}, ("text",)),
 }
 
 

@@ -86,8 +86,7 @@ COMMANDS = {
     "error-trellis": ("{h} {syn}", ("text", "json", "dot")),
     "decode": ("{h} {z}", ("text", "json")),
     "verify": ("{g} {h} {z} --plan {plan}", ("text", "json")),
-    "oracle": ("{g} {h} --n-blocks {n} --trials 3 --seed 5",
-               ("text", "json")),
+    "oracle": ("{g} {h} --n-blocks {n} --trials 3 --seed 5", ("text",)),
 }
 
 CASES = [(fx, cmd, fmt) for fx in FIXTURES

@@ -35,9 +35,11 @@ from pairs import (
 
 
 def test_brute_codewords_small():
-    words = brute_codewords(parse_matrix("1,1"), 2)
-    assert [format_blocks(w) for w in words] == [
-        "00 00", "00 11", "11 00", "11 11"]
+    # a repeated row adds no word: 4 distinct words, not 16
+    for text in ("1,1", "1,1;1,1"):
+        words = brute_codewords(parse_matrix(text), 2)
+        assert [format_blocks(w) for w in words] == [
+            "00 00", "00 11", "11 00", "11 11"]
 
 
 def test_brute_codewords_match_trellis():
@@ -118,6 +120,26 @@ def test_brute_errors_input_checks():
                      BlockSequence(2, 2, 0))
     with pytest.raises(ValueError, match="exceeds cap"):
         brute_errors(H_MAIN, BlockSequence(2, 9, 0))
+
+
+def test_brute_errors_solution_space_cap():
+    # 6 blocks of 5 free bits under 6 independent equations leave 24
+    with pytest.raises(ValueError,
+                       match=r"solution space needs 2\^24 words, cap is 2\^16"):
+        brute_errors(parse_matrix("1,1,1,1,1"), BlockSequence(1, 6, 0))
+
+
+@pytest.mark.parametrize("masks,message", [
+    ({99: {1}}, "mask section 99 outside 1..5"),
+    # on packed bits column 4 of block 2 would alias into block 1
+    ({2: {4}}, r"mask columns \[4\] outside 1..3"),
+])
+def test_brute_errors_refuses_masks_the_trellis_refuses(masks, message):
+    zero = BlockSequence(2, 5, 0)
+    with pytest.raises(ValueError, match=message):
+        build_error_trellis(H_MAIN, zero, masks=masks)
+    with pytest.raises(ValueError, match=message):
+        brute_errors(H_MAIN, zero, masks=masks)
 
 
 def test_random_feasible_syndrome_agreement():
