@@ -100,6 +100,12 @@ def _indented(texts):
     return map("  ".__add__, texts)
 
 
+def _nu_line(r):
+    """The nu figures of a reduction or a search result, as one text line."""
+    return (f"nu: {r.nu_before} -> {r.nu_after} "
+            f"(dual {r.nu_before_dual} -> {r.nu_after_dual})")
+
+
 def _plan_json(plan):
     return dict(zip(("gDiv", "gMul", "hDiv", "hMul"), map(list, plan.parts())))
 
@@ -146,8 +152,7 @@ def cmd_suggest(args):
                      "inf" if b is None else str(b) for b in back),
                  "best plan (per column: gDiv gMul hDiv hMul):"]
         lines.extend("  " + ln for ln in format_plan(best.plan).splitlines())
-        lines.append(f"nu: {best.nu_before} -> {best.nu_after} "
-                     f"(dual {best.nu_before_dual} -> {best.nu_after_dual})")
+        lines.append(_nu_line(best))
         lines.append("reduced: " + ("yes" if best.reduced else "no"))
         text = "\n".join(lines)
     return text, 0
@@ -173,9 +178,8 @@ def cmd_reduce(args):
             "nuAfter": rep.nu_after,
             "nuAfterDual": rep.nu_after_dual,
             "reduced": rep.reduced,
-            "rowDivisionsApplied": {
-                "G": list(rep.row_divisions_applied["G"]),
-                "H": list(rep.row_divisions_applied["H"])},
+            "rowDivisionsApplied": {side: list(exps) for side, exps
+                                    in rep.row_divisions_applied.items()},
             "plan": _plan_json(plan),
             "G": _mat_json(rep.transformed_pair.G),
             "H": _mat_json(rep.transformed_pair.H)})
@@ -184,13 +188,20 @@ def cmd_reduce(args):
             f"nu before: {rep.nu_before} (dual {rep.nu_before_dual})",
             f"nu after: {rep.nu_after} (dual {rep.nu_after_dual})",
             "reduced: " + ("yes" if rep.reduced else "no"),
-            "row divisions G: " + " ".join(
-                str(x) for x in rep.row_divisions_applied["G"]),
-            "row divisions H: " + " ".join(
-                str(x) for x in rep.row_divisions_applied["H"]),
+            *(f"row divisions {side}: " + " ".join(map(str, exps))
+              for side, exps in rep.row_divisions_applied.items()),
             f"G': {format_matrix(rep.transformed_pair.G)}",
             f"H': {format_matrix(rep.transformed_pair.H)}"])
     return text, 0
+
+
+def _check_n_blocks(args, given, exact):
+    """--n-blocks, or given if it is absent; exit 2 if it differs from
+    given (exact) or exceeds it."""
+    n = given if args.n_blocks is None else args.n_blocks
+    if n != given if exact else n > given:
+        raise _Fail(2, f"--n-blocks {n} but {given} blocks given")
+    return n
 
 
 def _trellis_report(t, fmt, paths, extra=()):
@@ -215,8 +226,7 @@ def cmd_code_trellis(args):
 def cmd_error_trellis(args):
     h = _load(parse_matrix, args.h)
     syn = _load(parse_blocks, args.syndrome, h.rows)
-    if args.n_blocks is not None and args.n_blocks > len(syn):
-        raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(syn)} blocks given")
+    _check_n_blocks(args, len(syn), exact=False)
     t = build_error_trellis(h, syn, n_real=args.n_blocks)
     if args.format == "dot":
         return trellis_dot(t), 0 if count_paths(t) else 1
@@ -228,8 +238,7 @@ def cmd_error_trellis(args):
 def cmd_decode(args):
     h = _load(parse_matrix, args.h)
     z = _load(parse_blocks, args.z, h.cols)
-    if args.n_blocks is not None and args.n_blocks != len(z):
-        raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
+    _check_n_blocks(args, len(z), exact=True)
     z_pad = z.padded(len(z) + memory(h))
     zeta = syndrome(z_pad, h)
     e_hat, weight = min_weight_path(build_error_trellis(h, zeta))
@@ -252,9 +261,7 @@ def cmd_decode(args):
 def cmd_verify(args):
     pair, plan = _pair(args.g, args.h), _load(parse_plan, args.plan)
     z = _load(parse_blocks, args.z, pair.n)
-    if args.n_blocks is not None and args.n_blocks > len(z):
-        raise _Fail(2, f"--n-blocks {args.n_blocks} but {len(z)} blocks given")
-    n_real = args.n_blocks if args.n_blocks is not None else len(z)
+    n_real = _check_n_blocks(args, len(z), exact=False)
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
     errors, codes, mismatch = map(format_sequences, (
         rep.error_paths, rep.code_paths, rep.mismatch))
@@ -288,8 +295,7 @@ def cmd_verify(args):
             f"z (padded): {format_blocks(rep.z_padded)}",
             f"z (shifted): {format_blocks(rep.z_shifted)}",
             f"syndrome: {format_blocks(rep.shifted_syndrome)}",
-            f"nu: {red.nu_before} -> {red.nu_after} "
-            f"(dual {red.nu_before_dual} -> {red.nu_after_dual})",
+            _nu_line(red),
             f"code states: {code_states[0]} -> {code_states[1]}",
             f"error states: {error_states[0]} -> {error_states[1]}",
             f"error paths ({len(errors)}):", *_indented(errors),
@@ -352,84 +358,46 @@ def build_parser():
                     "convolutional codes.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def out_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
+    def command(name, func, help, files, *options, formats=("text", "json")):
+        """Subcommand name: per word X of files an X_FILE positional (dest
+        x), the (flag, settings) options, then --format and --out."""
+        p = sub.add_parser(name, help=help)
+        for f in files.split():
+            p.add_argument(f.lower(), metavar=f"{f}_FILE")
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE",
                        help="write output here instead of stdout")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check-gh", help="check G*H^T = 0 and full row rank")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    out_format(p)
-    p.set_defaults(func=cmd_check_gh)
-
-    p = sub.add_parser("suggest",
-                       help="backward-shift exponents and best found plan")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--max-exponent", type=_count, default=4,
-                   help="plan search bound (default 4)")
-    out_format(p)
-    p.set_defaults(func=cmd_suggest)
-
-    p = sub.add_parser("transform", help="apply a shift plan to a pair")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--plan", required=True, metavar="PLAN_FILE")
-    out_format(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("reduce",
-                       help="apply a plan and row-reduce, with a full report")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--plan", required=True, metavar="PLAN_FILE")
-    out_format(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("code-trellis", help="build the encoder trellis")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("--n-blocks", type=_count, required=True, metavar="N")
-    out_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(func=cmd_code_trellis)
-
-    p = sub.add_parser("error-trellis",
-                       help="build the syndrome-former trellis")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("syndrome", metavar="SYNDROME_FILE")
-    p.add_argument("--n-blocks", type=_count, default=None, metavar="N",
-                   help="real blocks before the flush (default: infer)")
-    out_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(func=cmd_error_trellis)
-
-    p = sub.add_parser("decode",
-                       help="min-weight error estimate for received data")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("z", metavar="Z_FILE")
-    p.add_argument("--n-blocks", type=_count, default=None, metavar="N")
-    out_format(p)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("verify",
-                       help="end-to-end simultaneous-reduction check")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("z", metavar="Z_FILE")
-    p.add_argument("--plan", required=True, metavar="PLAN_FILE")
-    p.add_argument("--n-blocks", type=_count, default=None, metavar="N")
-    out_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle",
-                       help="trellis path sets against brute-force sets")
-    p.add_argument("g", metavar="G_FILE")
-    p.add_argument("h", metavar="H_FILE")
-    p.add_argument("--n-blocks", type=_count, default=4, metavar="N")
-    p.add_argument("--trials", type=_count, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    out_format(p, choices=("text",))
-    p.set_defaults(func=cmd_oracle)
-
+    plan = "--plan", dict(required=True, metavar="PLAN_FILE")
+    n_blocks = "--n-blocks", dict(type=_count, default=None, metavar="N")
+    dot = "text", "json", "dot"
+    command("check-gh", cmd_check_gh, "check G*H^T = 0 and full row rank",
+            "G H")
+    command("suggest", cmd_suggest,
+            "backward-shift exponents and best found plan", "G H",
+            ("--max-exponent", dict(type=_count, default=4,
+                                    help="plan search bound (default 4)")))
+    command("transform", cmd_transform, "apply a shift plan to a pair",
+            "G H", plan)
+    command("reduce", cmd_reduce,
+            "apply a plan and row-reduce, with a full report", "G H", plan)
+    command("code-trellis", cmd_code_trellis, "build the encoder trellis",
+            "G", ("--n-blocks", dict(n_blocks[1], required=True)), formats=dot)
+    command("error-trellis", cmd_error_trellis,
+            "build the syndrome-former trellis", "H SYNDROME",
+            ("--n-blocks", dict(n_blocks[1], help="real blocks before the "
+                                "flush (default: infer)")), formats=dot)
+    command("decode", cmd_decode,
+            "min-weight error estimate for received data", "H Z", n_blocks)
+    command("verify", cmd_verify, "end-to-end simultaneous-reduction check",
+            "G H Z", plan, n_blocks)
+    command("oracle", cmd_oracle, "trellis path sets against brute-force sets",
+            "G H", ("--n-blocks", dict(n_blocks[1], default=4)),
+            ("--trials", dict(type=_count, default=20)),
+            ("--seed", dict(type=int, default=0)), formats=("text",))
     return ap
 
 

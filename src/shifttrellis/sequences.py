@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import xor
 
-from .blocks import BlockSequence, _bits, _shape, columns, from_columns
+from .blocks import BlockSequence, _bits, columns, from_columns
 from .gf2poly import (
     GHPair,
     PolyMatrix,
@@ -104,12 +104,7 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
 def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
     """Blockwise xor of the shifted received data onto every error path,
     sorted, each distinct sequence once."""
-    w, n = _shape(z_shifted)
-    if set(map(_shape, error_paths)) - {(w, n)}:
-        for e in error_paths:
-            z_shifted.check_shape(e)
-    return [BlockSequence(w, n, bits) for bits in sorted(set(
-        map(xor, map(_bits, error_paths), repeat(z_shifted.bits))))]
+    return sorted({z_shifted ^ e for e in error_paths})
 
 
 @dataclass(frozen=True)

@@ -146,16 +146,23 @@ def _sweep(horizon, n, state_bits, branch_bits, key_of, branches_for):
         sec, frontier = hit
         sections.append(sec)
     # Every built section stays referenced by `built`, so its id is a key.
-    pruned = {}
+    return Trellis(n, horizon, state_bits, _prune(sections))
+
+
+def _prune(sections):
+    """The sections without every branch that is on no path ending in state
+    0, as a tuple; each (section, alive set) is pruned once, keyed by the
+    section's id, so the caller must keep every given section referenced."""
+    sections, pruned = list(sections), {}
     alive = frozenset((0,))
-    for t in range(horizon - 1, -1, -1):
+    for t in range(len(sections) - 1, -1, -1):
         hit = pruned.get((id(sections[t]), alive))
         if hit is None:
-            kept = tuple([b for b in sections[t] if b.to_state in alive])
+            kept = tuple([b for b in sections[t] if b[1] in alive])
             hit = pruned[id(sections[t]), alive] = (
-                kept, frozenset([b.from_state for b in kept]))
+                kept, frozenset([b[0] for b in kept]))
         sections[t], alive = hit
-    return Trellis(n, horizon, state_bits, tuple(sections))
+    return tuple(sections)
 
 
 def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
@@ -263,7 +270,8 @@ def enumerate_paths(trellis: Trellis):
     """Every initial-to-final label sequence, sorted lexicographically.
 
     The paths are counted first, and more than MAX_PATHS are refused
-    before any is listed.
+    before any is listed.  The walk runs on the pruned sections, so every
+    prefix it holds ends in some path and no more are held than paths.
     """
     count = count_paths(trellis)
     if count > MAX_PATHS:
@@ -274,7 +282,7 @@ def enumerate_paths(trellis: Trellis):
     # shift and or, and the int order is the order of the label sequences.
     n = trellis.n
     paths = {0: [0]}
-    for sec in trellis.sections:
+    for sec in _prune(trellis.sections):
         nxt = {}
         for s, ns, label in sec:
             prefs = paths.get(s)

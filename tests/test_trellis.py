@@ -169,6 +169,25 @@ def test_enumerate_paths_cap():
     assert len(enumerate_paths(Trellis(1, 3, 0, (sec,) * 3))) == 8
 
 
+def test_enumerate_paths_holds_no_dead_prefixes():
+    # 17 full 2-state sections, then none into state 0: no path, though
+    # 2^17 prefixes would reach the last section
+    full = (Branch(0, 0, 0), Branch(0, 1, 1), Branch(1, 0, 0), Branch(1, 1, 1))
+    last = (Branch(0, 1, 0), Branch(1, 1, 1))
+    t = Trellis(1, 18, 1, (full,) * 17 + (last,))
+    tracemalloc.start()
+    try:
+        assert enumerate_paths(t) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # one branch into state 0 at the end keeps exactly the paths through it
+    t = Trellis(1, 4, 1, (full,) * 3 + (last + (Branch(1, 0, 1),),))
+    assert enumerate_paths(t) == [BlockSequence(1, 4, b)
+                                  for b in (0b0011, 0b0111, 0b1011, 0b1111)]
+
+
 def test_code_trellis_masks():
     base = build_code_trellis(G_MAIN, 5)
     masked = build_code_trellis(G_MAIN, 5, masks={1: {3}, 5: {1, 2}})
