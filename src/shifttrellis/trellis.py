@@ -50,9 +50,6 @@ from .gf2poly import (
 MAX_TRELLIS_WORK = 1 << 24
 # Most paths enumerate_paths will list, the most words the oracle checks.
 MAX_PATHS = 1 << 16
-# Path counts from here on are named by their bit length: str() refuses an
-# int of more than 4300 decimal digits.
-_DECIMAL_LIMIT = 10 ** 4300
 # Cost of a state with no way to state 0 at the end.
 _INF = float("inf")
 
@@ -110,36 +107,41 @@ def _norm_masks(masks, horizon, n):
     return out
 
 
-def _sweep(horizon, n, state_bits, branch_bits, key_of, branches_for):
+def _sweep(horizon, n, state_bits, in_bits, key_of, step, branches):
     """Forward-build sections from state 0, then drop every branch that is
     not on some path ending in state 0.
 
-    key_of(t) names all that section t depends on besides the state, and
-    branches_for(key, state) yields that state's (next state, label) pairs;
-    each (key, state) is expanded once, each (key, frontier) built once and
-    each (section, alive set) pruned once, so equal sections share one
-    tuple.  branch_bits is log2 of the most branches a state can have.
+    step(state, x) gives (next state, output) for an input block x of
+    in_bits bits and is linear over GF(2): step(s, x) = step(s, 0) ^
+    step(0, x) in both fields.  So step(0, x) is tabled for every x on the
+    first section built, after the size check, step(s, 0) is taken once per
+    state, and branches(key, step(s, 0), table) yields state s's (next
+    state, label) pairs in a section named key = key_of(t).  Each (key,
+    state) is expanded once, each (key, frontier) built once and each
+    (section, alive set) pruned once, so equal sections share one tuple.
     """
-    if horizon << state_bits + branch_bits > MAX_TRELLIS_WORK:
+    if horizon << state_bits + in_bits > MAX_TRELLIS_WORK:
         raise ValueError(
             f"trellis too large: 2^{state_bits} states x {horizon} sections "
-            f"x 2^{branch_bits} branches exceeds {MAX_TRELLIS_WORK}")
+            f"x 2^{in_bits} branches exceeds {MAX_TRELLIS_WORK}")
     # States run in increasing order and each row is sorted, so every
     # section comes out sorted by (from state, to state, label).
-    rows, built = {}, {}
-    sections = []
+    rows, built, drifts, table, sections = {}, {}, {}, [], []
     frontier = frozenset((0,))
     for t in range(1, horizon + 1):
         key = key_of(t)
         hit = built.get((key, frontier))
         if hit is None:
+            table = table or [step(0, x) for x in range(1 << in_bits)]
             sec = []
             for s in sorted(frontier):
                 row = rows.get((key, s))
                 if row is None:
+                    if s not in drifts:
+                        drifts[s] = step(s, 0)
                     row = rows[key, s] = tuple(sorted(
                         Branch(s, ns, lbl)
-                        for ns, lbl in branches_for(key, s)))
+                        for ns, lbl in branches(key, drifts[s], table)))
                 sec.extend(row)
             hit = built[key, frontier] = (
                 tuple(sec), frozenset([b.to_state for b in sec]))
@@ -196,15 +198,14 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
     def key_of(t):
         return t <= free_until, masks.get(t, 0)
 
-    def branches_for(key, state):
-        free, forced = key
-        for inputs in range(1 << k if free else 1):
-            ns, label = step(state, inputs)
-            if not label & forced:
-                yield ns, label
+    def branches(key, base, table):
+        (free, forced), (drift, out0) = key, base
+        for ns, label in table if free else table[:1]:
+            if not (label ^ out0) & forced:
+                yield drift ^ ns, label ^ out0
 
     return _sweep(horizon, n, overall_constraint_length(G), k,
-                  key_of, branches_for)
+                  key_of, step, branches)
 
 
 def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
@@ -244,45 +245,37 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
         return new_state, out
 
     flush = (1 << n) - 1
-    # The former is linear over GF(2): step(s, e) = step(s, 0) ^ step(0, e).
-    # Both tables fill on first use, after _sweep's size check.
-    by_error, by_state = [], {}
 
     def key_of(t):
         return (syndrome.block(t - 1),
                 flush if t > n_real else masks.get(t, 0))
 
-    def branches_for(key, state):
-        want, forced = key
-        if not by_error:
-            by_error.extend([step(0, e) for e in range(1 << n)])
-        if state not in by_state:
-            by_state[state] = step(state, 0)
-        drift, out0 = by_state[state]
-        return [(drift ^ ns, e) for e, (ns, out) in enumerate(by_error)
+    def branches(key, base, table):
+        (want, forced), (drift, out0) = key, base
+        return [(drift ^ ns, e) for e, (ns, out) in enumerate(table)
                 if out ^ out0 == want and not e & forced]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
-                  key_of, branches_for)
+                  key_of, step, branches)
 
 
 def enumerate_paths(trellis: Trellis):
     """Every initial-to-final label sequence, sorted lexicographically.
 
-    The paths are counted first, and more than MAX_PATHS are refused
-    before any is listed.  The walk runs on the pruned sections, so every
-    prefix it holds ends in some path and no more are held than paths.
+    The walk runs on the pruned sections, so every prefix held ends in a
+    path of its own and no layer outgrows the path count.  A layer of more
+    than MAX_PATHS prefixes refuses the listing, naming that lower bound,
+    so it is refused exactly when count_paths exceeds MAX_PATHS.
     """
-    count = count_paths(trellis)
-    if count > MAX_PATHS:
-        if count >= _DECIMAL_LIMIT:
-            count = f"at least 2^{count.bit_length() - 1}"
-        raise ValueError(f"too many paths: {count} exceeds {MAX_PATHS}")
     # Prefixes are packed ints (see blocks.py): appending a label is one
     # shift and or, and the int order is the order of the label sequences.
     n = trellis.n
     paths = {0: [0]}
     for sec in _prune(trellis.sections):
+        held = sum(len(paths.get(s, ())) for s, _, _ in sec)
+        if held > MAX_PATHS:
+            raise ValueError(
+                f"too many paths: at least {held} exceeds {MAX_PATHS}")
         nxt = {}
         for s, ns, label in sec:
             prefs = paths.get(s)

@@ -216,14 +216,14 @@ def counted_calls(monkeypatch, name, *modules):
 
 
 @pytest.mark.parametrize("argv, counts", [
-    (("code-trellis", "g", "--n-blocks", "4"), {"text": 1, "json": 1,
+    (("code-trellis", "g", "--n-blocks", "4"), {"text": 0, "json": 0,
                                                 "dot": 0}),
-    (("error-trellis", "h", "zeta"), {"text": 1, "json": 1, "dot": 1}),
+    (("error-trellis", "h", "zeta"), {"text": 0, "json": 0, "dot": 1}),
 ])
 def test_trellis_commands_count_paths_once_per_read(files, capsys,
                                                     monkeypatch, argv,
                                                     counts):
-    # a listed report counts once, in enumerate_paths' cap check, and takes
+    # a listed report decides its cap on the listing walk and takes
     # feasibility from the list; only an error-trellis DOT counts for it
     import shifttrellis.cli as cli
     import shifttrellis.trellis as trellis
@@ -414,24 +414,39 @@ def test_plan_space_cap_exit_code(files, capsys):
 
 
 def test_path_cap_exit_code(files, capsys):
-    # 2^17 codewords at 19 blocks: refused before any path is listed, while
-    # the DOT drawing, which lists no paths, is still made
+    # 2^17 codewords at 19 blocks: refused once a layer of the listing walk
+    # would hold 2^17 prefixes, while the DOT drawing, which lists no
+    # paths, is still made
     g = files["tmp"] / "G2.txt"
     g.write_text("1+D+D^2,1+D^2\n")
     for fmt in ("text", "json"):
         rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "19",
                            "--format", fmt)
         assert (rc, out) == (1, "")
-        assert err == "error: too many paths: 131072 exceeds 65536\n"
+        assert err == "error: too many paths: at least 131072 exceeds 65536\n"
     rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "19",
                        "--format", "dot")
     assert (rc, err) == (0, "")
     assert out.startswith("digraph trellis {")
-    # 2^19998 codewords at 20000 blocks: a count of more decimal digits
-    # than str() prints is named by its bit length
+    # 2^19998 codewords at 20000 blocks: the walk stops at the same layer
     rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "20000")
     assert (rc, out) == (1, "")
-    assert err == "error: too many paths: at least 2^19998 exceeds 65536\n"
+    assert err == "error: too many paths: at least 131072 exceeds 65536\n"
+
+
+def test_long_k7_listing_refused_without_counting(files, capsys,
+                                                  monkeypatch):
+    # 2^131066 codewords: the refusal comes from the walk's first layers,
+    # with no exact count, whose big-int sums grow with the horizon
+    import shifttrellis.cli as cli
+    import shifttrellis.trellis as trellis
+
+    calls = counted_calls(monkeypatch, "count_paths", trellis, cli)
+    g = files["tmp"] / "G7.txt"
+    g.write_text("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6\n")
+    rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "131072")
+    assert (rc, out, calls) == (1, "", [])
+    assert err == "error: too many paths: at least 131072 exceeds 65536\n"
 
 
 def test_trials_cap_exit_code(files, capsys):

@@ -7,13 +7,18 @@ test_min_weight_property), on the hand-built trellises of
 test_decode_property, whose sections are lists, some empty, some repeated,
 with states of unequal branch counts, on its CORNER_CASES and on TIE_PAIR,
 count_paths must give the same exact int.  Below the cap it is the length of
-enumerate_paths, and above it enumerate_paths refuses with that count.
-Within the oracle's horizon it is also the number of brute-force words,
-wherever no two paths carry one label sequence.
+enumerate_paths, and above it enumerate_paths refuses, naming a layer of its
+walk that holds more than the cap and no more than the count.  With the cap
+patched to each of 1 to 16, so that these small trellises reach both sides
+of it, the listing must be refused exactly when the count exceeds the cap.
+Within the oracle's horizon the count is also the number of brute-force
+words, wherever no two paths carry one label sequence.
 """
 
 import random
+import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 
 from shifttrellis import (
     BlockSequence,
+    Branch,
     Trellis,
     brute_codewords,
     brute_errors,
@@ -34,6 +40,7 @@ from shifttrellis import (
     random_feasible_syndrome,
     syndrome,
 )
+from shifttrellis import trellis as trellis_module
 from shifttrellis.trellis import MAX_PATHS
 from pairs import TIE_PAIR, blocks
 from test_decode_property import CORNER_CASES, hand_built
@@ -51,18 +58,29 @@ def reference_count(trellis):
     return counts.get(0, 0)
 
 
+def check_cap(trellis, count, cap):
+    """enumerate_paths under a cap: refused iff count exceeds it, naming
+    an N with cap < N <= count; else listing all count paths."""
+    with mock.patch.object(trellis_module, "MAX_PATHS", cap):
+        try:
+            listed = enumerate_paths(trellis)
+        except ValueError as e:
+            held = re.fullmatch(
+                rf"too many paths: at least (\d+) exceeds {cap}", str(e))
+            assert held and cap < int(held[1]) <= count, str(e)
+        else:
+            assert len(listed) == count <= cap
+
+
 def check(trellis, words=None):
     """count_paths equals the reference count and the listing's length,
-    or the listing refuses it; and the brute-force word count if given."""
+    or the listing refuses it, also under caps 1 to 16; and the
+    brute-force word count if given."""
     count = count_paths(trellis)
     assert type(count) is int
     assert count == reference_count(trellis)
-    if count <= MAX_PATHS:
-        assert count == len(enumerate_paths(trellis))
-    else:
-        with pytest.raises(ValueError, match=(
-                f"^too many paths: {count} exceeds {MAX_PATHS}$")):
-            enumerate_paths(trellis)
+    for cap in (*range(1, 17), MAX_PATHS):
+        check_cap(trellis, count, cap)
     if words is not None:
         assert count == len(words)
 
@@ -114,6 +132,22 @@ def test_hand_built_corner_cases_count_like_reference():
     assert [count_paths(t) for t in CORNER_CASES] == [3, 0, 2, 0, 0]
 
 
+# Five full 2-state sections, then one branch into state 0: 2^4 paths, but
+# the unpruned walk would hold 2^5 prefixes after section 5.
+FULL = (Branch(0, 0, 0), Branch(0, 1, 1), Branch(1, 0, 0), Branch(1, 1, 1))
+DEAD_ENDS = Trellis(1, 6, 1, (FULL,) * 5 + (
+    (Branch(0, 1, 0), Branch(1, 1, 1), Branch(1, 0, 1)),))
+# One section object, repeated, with two parallel branches of one label.
+PARALLEL = Trellis(1, 4, 0, (
+    (Branch(0, 0, 1), Branch(0, 0, 1), Branch(0, 0, 0)),) * 4)
+
+
+def test_cap_on_dead_ends_and_parallel_labels():
+    assert [count_paths(t) for t in (DEAD_ENDS, PARALLEL)] == [16, 81]
+    check(DEAD_ENDS)
+    check(PARALLEL)
+
+
 def test_tie_pair_counts():
     check(build_code_trellis(TIE_PAIR.G, 5), brute_codewords(TIE_PAIR.G, 5))
     zeta = syndrome(blocks("10 11 01 00 11 10"), TIE_PAIR.H)
@@ -144,8 +178,8 @@ def test_infeasible_syndrome_and_empty_horizon():
 
 def test_k7_code_and_error_trellis_counts_at_n200():
     """Both trellises of the K=7 (171,133) code over 200 blocks list its
-    2^194 terminated codewords, and the listing is refused up front:
-    listing even 30 sections would hold 2^24 prefixes.  The error side
+    2^194 terminated codewords, and the listing is refused at the 17th
+    section, whose layer would hold 2^17 prefixes.  The error side
     leaves all 200 blocks free; ending in state 0 drains the syndrome
     former, so the errors of zero syndrome are exactly those codewords."""
     code = build_code_trellis(K7_PAIR.G, 200)
@@ -153,9 +187,10 @@ def test_k7_code_and_error_trellis_counts_at_n200():
     err = build_error_trellis(K7_PAIR.H, BlockSequence(1, 200, 0),
                               n_real=200)
     assert count_paths(err) == 2**194
-    with pytest.raises(ValueError, match=(
-            f"^too many paths: {2**194} exceeds 65536$")):
-        enumerate_paths(code)
+    for t in (code, err):
+        with pytest.raises(ValueError, match=(
+                f"^too many paths: at least {2**17} exceeds 65536$")):
+            enumerate_paths(t)
 
 
 def test_count_holds_one_layer_at_n20000():

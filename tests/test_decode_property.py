@@ -9,8 +9,10 @@ exponents, over inputs and errors drawn from itertools.product,
 reference_min_weight_path relaxes every branch of every section in
 Python, and reference_syndrome reads the received word one bit at a time.
 Both builders must give the same trellis with the shared-section sweep,
-with reference_sweep patched in, and as the reference builders give it
-once every label is packed, on random code and error trellises with masks
+with stepping_sweep patched in (reference_sweep stepping every (state,
+input) pair, so the equality also tests the linearity _sweep relies on),
+and as the reference builders give it once every label is packed, on
+random code and error trellises with masks
 (the matrix and mask generators of test_min_weight_property) at horizons
 up to 40, past the oracle's limit, and on TIE_PAIR; the sections must be
 equal tuples.  min_weight_path must return the identical (sequence,
@@ -82,6 +84,16 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
         sections[t] = kept
         alive = {b.from_state for b in kept}
     return Trellis(n, horizon, state_bits, tuple(sections))
+
+
+def stepping_sweep(horizon, n, state_bits, in_bits, key_of, step,
+                   branches):
+    """_sweep's signature over reference_sweep, stepping every (state,
+    input) pair itself instead of relying on the machine's linearity."""
+    return reference_sweep(
+        horizon, n, state_bits, in_bits, key_of,
+        lambda key, s: branches(key, (0, 0),
+                                [step(s, x) for x in range(1 << in_bits)]))
 
 
 def reference_row_layout(M):
@@ -246,7 +258,7 @@ def check_build(build, reference, *args, **kwargs):
     the tuple-label reference gives once its labels are packed; then
     decode."""
     t = build(*args, **kwargs)
-    with mock.patch.object(trellis, "_sweep", reference_sweep):
+    with mock.patch.object(trellis, "_sweep", stepping_sweep):
         ref = build(*args, **kwargs)
     assert t.sections == ref.sections
     assert t == ref

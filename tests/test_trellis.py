@@ -153,20 +153,42 @@ def test_error_trellis_work_cap():
                             BlockSequence(1, 40, 0))
 
 
-def test_enumerate_paths_cap():
-    # two parallel branches per section: 2^17 paths, counted, not listed
-    sec = (Branch(0, 0, 0), Branch(0, 0, 1))
-    t = Trellis(1, 17, 0, (sec,) * 17)
+def refused_peak(t, held):
+    """The tracemalloc peak of enumerate_paths(t), which must refuse with a
+    layer of `held` prefixes."""
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=re.escape(
-                f"too many paths: {1 << 17} exceeds {MAX_PATHS}")):
+                f"too many paths: at least {held} exceeds {MAX_PATHS}")):
             enumerate_paths(t)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100_000
+
+
+def test_enumerate_paths_cap():
+    # two parallel branches per section: 2^17 paths, refused before the
+    # last layer, which would hold them all, is built; the 2^16 prefixes
+    # before it, about 2.4 MB of ints and pointers, are the most held
+    sec = (Branch(0, 0, 0), Branch(0, 0, 1))
+    assert refused_peak(Trellis(1, 17, 0, (sec,) * 17), 1 << 17) < 6 << 20
     assert len(enumerate_paths(Trellis(1, 3, 0, (sec,) * 3))) == 8
+    # 512 parallel branches: refused with only the first layer's 512 held
+    wide = tuple(Branch(0, 0, label) for label in range(512))
+    assert refused_peak(Trellis(9, 2, 0, (wide,) * 2), 1 << 18) < 100_000
+
+
+def test_long_listing_refused_without_counting(monkeypatch):
+    # G = 1 over 2^18 blocks has 2^(2^18) paths, whose exact count takes
+    # seconds of big-int sums; the walk refuses at its 17th layer and
+    # holds at most one layer of 2^16 prefixes besides the section tuples
+    t = build_code_trellis(parse_matrix("1"), 1 << 18)
+
+    def no_count(_):
+        raise AssertionError("count_paths called")
+
+    monkeypatch.setattr(trellis, "count_paths", no_count)
+    assert refused_peak(t, 1 << 17) < 16 << 20
 
 
 def test_enumerate_paths_holds_no_dead_prefixes():
@@ -294,10 +316,9 @@ def test_error_trellis_shares_repeated_sections():
     assert distinct[200] == distinct[800]
 
 
-def test_error_builder_expands_each_state_once_per_forced_set():
-    """step runs once per (forced columns, state, error label), whatever
-    the syndrome block: 64 states x 4 labels free, 64 x 1 in the flush."""
-    zeta = k7_syndrome(200, random.Random(5))
+def traced_steps(build, *args, most=None):
+    """build(*args) and how often it called a builder's step; a call past
+    `most` raises AssertionError inside the build."""
     calls = []
 
     def profile(frame, event, arg):
@@ -305,12 +326,39 @@ def test_error_builder_expands_each_state_once_per_forced_set():
         if (event == "call" and code.co_name == "step"
                 and code.co_filename == trellis.__file__):
             calls.append(1)
+            if most is not None and len(calls) > most:
+                raise AssertionError(f"more than {most} step calls")
 
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
-        t = build_error_trellis(H_K7, zeta)
+        t = build(*args)
     finally:
         sys.setprofile(old)
+    return t, len(calls)
+
+
+def test_error_builder_expands_each_state_once_per_forced_set():
+    """Both machines are linear, so step runs once per input block x, as
+    step(0, x), and once per state s reached, as step(s, 0), whatever the
+    syndrome block or forced columns: 4 + 64 calls on the K=7 error side
+    and 2 + 64 on its code side."""
+    t, calls = traced_steps(build_error_trellis, H_K7,
+                            k7_syndrome(200, random.Random(5)))
     assert count_paths(t) > 0
-    assert 0 < len(calls) <= 64 * 4 + 64 * 1
+    assert calls == 4 + 64
+    t, calls = traced_steps(build_code_trellis,
+                            parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6"),
+                            200, {1: {1}, 100: {2}})
+    assert count_paths(t) > 0
+    assert calls == 2 + 64
+
+
+def test_wide_check_matrix_over_empty_syndrome():
+    # 2^40 error blocks per section, but no section to build: the step
+    # table is never filled, so the one empty path comes at once
+    t, calls = traced_steps(build_error_trellis,
+                            parse_matrix(",".join(["1"] * 40)),
+                            BlockSequence(1, 0, 0), most=0)
+    assert (t.horizon, calls) == (0, 0)
+    assert enumerate_paths(t) == [BlockSequence(40, 0, 0)]
