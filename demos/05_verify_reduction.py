@@ -33,8 +33,11 @@ red = rep.reduction
 print(f"code states  {1 << red.nu_before} -> {1 << red.nu_after}")
 print(f"error states {1 << red.nu_before_dual} -> {1 << red.nu_after_dual}")
 print("boundary masks (section -> zero-forced columns):")
-for t, cols in rep.masks.items():
-    print(f"  t={t}: {sorted(cols)}")
+masks = rep.masks
+for t in range(1, len(masks) + 1):
+    cols = [j for j in range(1, masks.block_width + 1) if masks.bit(t, j)]
+    if cols:
+        print(f"  t={t}: {cols}")
 
 print()
 print("error paths and the code paths they reconstruct:")

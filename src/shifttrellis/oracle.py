@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .blocks import BlockSequence, format_blocks, from_columns
 from .gf2poly import PolyMatrix, exponents, memory
-from .trellis import _norm_masks
+from .trellis import _forced
 
 
 # Longest horizon, and most free bits (log2 of the words listed), that the
@@ -93,9 +93,7 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
     # Bit (horizon - t) * n + n - j is column j of block t; the right-hand
     # side sits above them all, at bit rhs.
     rhs = horizon * n
-    unknown = (1 << rhs) - (1 << max(horizon - n_real, 0) * n)
-    for t, block in _norm_masks(masks, horizon, n).items():
-        unknown &= ~(block << (horizon - t) * n)
+    unknown = (1 << rhs) - 1 ^ _forced(masks, horizon, n, horizon - n_real)
     rows = []
     for t in range(1, horizon + 1):
         for i in range(1, m + 1):

@@ -73,13 +73,15 @@ def shift_received(z: BlockSequence, plan: ShiftPlan, n_real: int) -> BlockSeque
         _rotate(col, s, n_real) for col, s in zip(columns(z), shifts)])
 
 
-def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
+def boundary_masks(plan: ShiftPlan, n_real: int,
+                   horizon=None) -> BlockSequence:
     """Forced-zero label positions of the shifted trellises.
 
     Window position t of column j aliases, through the cyclic shift, a
     position of the unshifted sequence; whenever that alias lands past
     n_real it names a terminated all-zero block, so the bit is pinned to
-    zero.  The result maps 1-based sections to frozensets of columns.
+    zero.  The result is a horizon x n BlockSequence, packed as paths are,
+    with a one at each pinned bit.
 
     Both trellises share one clock, so one set of masks serves the code
     side and the error side.  The horizon defaults to n_real plus the
@@ -90,15 +92,10 @@ def boundary_masks(plan: ShiftPlan, n_real: int, horizon=None) -> dict:
     shifts = plan.shifts
     if horizon is None:
         horizon = n_real + max(abs(s) for s in shifts)
-    out = {}
-    for j, s in enumerate(shifts, 1):
-        # every position from n_real on, far enough for any alias
-        pad = _rotate((1 << n_real + horizon + abs(s)) - (1 << n_real),
-                      s, n_real)
-        for t in range(1, horizon + 1):
-            if pad >> t - 1 & 1:
-                out.setdefault(t, set()).add(j)
-    return {t: frozenset(cols) for t, cols in sorted(out.items())}
+    # every position from n_real on, far enough for any alias
+    return from_columns(len(shifts), horizon, [
+        _rotate((1 << n_real + horizon + abs(s)) - (1 << n_real), s, n_real)
+        for s in shifts])
 
 
 def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
@@ -118,7 +115,7 @@ class VerifyReport:
     z_padded: BlockSequence
     z_shifted: BlockSequence
     shifted_syndrome: BlockSequence
-    masks: dict
+    masks: BlockSequence
     code_paths: tuple
     error_paths: tuple
     passed: bool

@@ -12,16 +12,17 @@ significant, so labels sort and break ties as their printed blocks do, and
 a label's weight is its count of ones.
 
 Sections are explicit branch sets because reduced trellises are
-time-varying: shifting makes some label bits inadmissible near the
-boundaries, and those constraints arrive here as per-section masks.  Apart
-from the masks, the flush and (on the error side) the syndrome block, every
-section is the same, so each builder names a section by that key.  A
-section is fixed by its key and the set of states it starts from, and its
-pruned form by that and the set of states still alive after it, so _sweep
-builds each (key, frontier) and prunes each (section, alive set) once, and
-every section equal to one built earlier is that same tuple object.  Both
-builders refuse, before any work, a trellis whose states x sections x
-branches per state exceed MAX_TRELLIS_WORK.
+time-varying: shifting forces label bits to zero near the boundaries, the
+ones of masks, a horizon x n BlockSequence packed as paths are.  Apart from
+the masks, the flush and (on the error side) the syndrome block, every
+section is the same, so each builder names a section by that key, read
+from one text of each sequence.  A section is fixed by its key and the set
+of states it starts from, and its pruned form by that and the set of
+states still alive after it, so _sweep builds each (key, frontier) and a
+Trellis prunes each (section, alive set) once, and every section equal to
+one built earlier is that same tuple object.  Both builders refuse, before
+any work, a trellis whose states x sections x branches per state exceed
+MAX_TRELLIS_WORK.
 
 count_paths and min_weight_path share one backward pass, in the (+, x) and
 the (min, +) semiring, over lists: the states alive at a time index are
@@ -33,10 +34,11 @@ and min_weight_path, whose forward tie pass reads them all, keeps each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, index, itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
-from .blocks import BlockSequence
+from .blocks import BlockSequence, _shape
 from .gf2poly import (
     PolyMatrix,
     exponents,
@@ -71,6 +73,7 @@ class Trellis:
         if len(self.sections) != self.horizon:
             raise ValueError(
                 f"{len(self.sections)} sections for horizon {self.horizon}")
+        object.__setattr__(self, "sections", _prune(self.sections))
 
     @property
     def state_count(self) -> int:
@@ -93,32 +96,34 @@ def _row_layout(M: PolyMatrix):
     return info
 
 
-def _norm_masks(masks, horizon, n):
-    """Per 1-based section, the packed block of its forced-zero columns."""
-    out = {}
-    for t, cols in (masks or {}).items():
-        t, cols = index(t), sorted(set(map(index, cols)))
-        if not 1 <= t <= horizon:
-            raise ValueError(f"mask section {t} outside 1..{horizon}")
-        if any(not 1 <= c <= n for c in cols):
-            raise ValueError(f"mask columns {cols} outside 1..{n}")
-        if cols:
-            out[t] = sum(1 << n - c for c in cols)
-    return out
+def _forced(masks, horizon, n, flush=0):
+    """The packed label bits forced to zero: those of masks, None or a
+    horizon x n BlockSequence, and every bit of the last flush blocks."""
+    if masks is not None and not (isinstance(masks, BlockSequence)
+                                  and _shape(masks) == (n, horizon)):
+        raise ValueError(f"masks must be {horizon} blocks of {n} bits")
+    return (0 if masks is None else masks.bits) | (1 << max(flush, 0) * n) - 1
 
 
-def _sweep(horizon, n, state_bits, in_bits, key_of, step, branches):
-    """Forward-build sections from state 0, then drop every branch that is
-    not on some path ending in state 0.
+def _blocks(bits, width, length):
+    """A packed sequence's blocks in order, each read from one text."""
+    text = format(bits, f"0{width * length}b")
+    for i in range(0, width * length, width):
+        yield int(text[i:i + width], 2)
+
+
+def _sweep(horizon, n, state_bits, in_bits, keys, step, branches):
+    """Forward-build sections from state 0 and make them a Trellis, which
+    drops every branch that is not on some path ending in state 0.
 
     step(state, x) gives (next state, output) for an input block x of
     in_bits bits and is linear over GF(2): step(s, x) = step(s, 0) ^
     step(0, x) in both fields.  So step(0, x) is tabled for every x on the
     first section built, after the size check, step(s, 0) is taken once per
     state, and branches(key, step(s, 0), table) yields state s's (next
-    state, label) pairs in a section named key = key_of(t).  Each (key,
-    state) is expanded once, each (key, frontier) built once and each
-    (section, alive set) pruned once, so equal sections share one tuple.
+    state, label) pairs in a section named key, the next of the iterable
+    keys.  Each (key, state) is expanded once and each (key, frontier)
+    built once, so equal sections share one tuple.
     """
     if horizon << state_bits + in_bits > MAX_TRELLIS_WORK:
         raise ValueError(
@@ -128,8 +133,7 @@ def _sweep(horizon, n, state_bits, in_bits, key_of, step, branches):
     # section comes out sorted by (from state, to state, label).
     rows, built, drifts, table, sections = {}, {}, {}, [], []
     frontier = frozenset((0,))
-    for t in range(1, horizon + 1):
-        key = key_of(t)
+    for key in keys:
         hit = built.get((key, frontier))
         if hit is None:
             table = table or [step(0, x) for x in range(1 << in_bits)]
@@ -147,8 +151,7 @@ def _sweep(horizon, n, state_bits, in_bits, key_of, step, branches):
                 tuple(sec), frozenset([b.to_state for b in sec]))
         sec, frontier = hit
         sections.append(sec)
-    # Every built section stays referenced by `built`, so its id is a key.
-    return Trellis(n, horizon, state_bits, _prune(sections))
+    return Trellis(n, horizon, state_bits, sections)
 
 
 def _prune(sections):
@@ -172,16 +175,18 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
 
     Information bits are free for the first horizon - memory(G) sections
     and zero afterwards, which drains every register and terminates all
-    paths in the zero state.  masks maps a 1-based section index to columns
-    whose label bit is forced to zero there.
+    paths in the zero state.  masks, None or a horizon x n BlockSequence,
+    forces to zero every label bit where it has a one.
     """
     mem = memory(G)
     if horizon < mem:
         raise ValueError("horizon too short to terminate")
     layout = _row_layout(G)
     k, n = G.rows, G.cols
-    masks = _norm_masks(masks, horizon, n)
-    free_until = horizon - mem
+    forced = _forced(masks, horizon, n)
+    # lazy, so nothing as long as the horizon is made before the size check
+    keys = zip(chain(repeat(True, horizon - mem), repeat(False, mem)),
+               _blocks(forced, n, horizon) if forced else repeat(0))
 
     def step(state, inputs):
         # Row i's register holds its input (bit i of inputs) above its
@@ -195,9 +200,6 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
             new_state |= reg >> 1 << off
         return new_state, label
 
-    def key_of(t):
-        return t <= free_until, masks.get(t, 0)
-
     def branches(key, base, table):
         (free, forced), (drift, out0) = key, base
         for ns, label in table if free else table[:1]:
@@ -205,7 +207,7 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
                 yield drift ^ ns, label ^ out0
 
     return _sweep(horizon, n, overall_constraint_length(G), k,
-                  key_of, step, branches)
+                  keys, step, branches)
 
 
 def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
@@ -215,8 +217,9 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     The horizon is the syndrome length; by default the last memory(H)
     sections are flush, with every error bit forced to zero (the trailing
     syndrome blocks come from draining the former).  Passing n_real moves
-    that boundary, and masks adds per-section forced-zero columns.  A
-    syndrome nobody can produce yields a trellis with no path.
+    that boundary, and masks, a horizon x n BlockSequence, forces to zero
+    every error bit where it has a one.  A syndrome nobody can produce
+    yields a trellis with no path.
     """
     m, n = H.rows, H.cols
     if syndrome.block_width != m:
@@ -230,7 +233,7 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
         raise ValueError(
             f"syndrome has {horizon} blocks, flush alone needs {mem}")
     layout = _row_layout(H)
-    masks = _norm_masks(masks, horizon, n)
+    forced = _forced(masks, horizon, n, horizon - n_real)
 
     def step(state, e):
         # Cell d of a row's register gains the parity of the errors on its
@@ -244,19 +247,14 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
             new_state |= reg >> 1 << off
         return new_state, out
 
-    flush = (1 << n) - 1
-
-    def key_of(t):
-        return (syndrome.block(t - 1),
-                flush if t > n_real else masks.get(t, 0))
-
     def branches(key, base, table):
         (want, forced), (drift, out0) = key, base
         return [(drift ^ ns, e) for e, (ns, out) in enumerate(table)
                 if out ^ out0 == want and not e & forced]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
-                  key_of, step, branches)
+                  zip(_blocks(syndrome.bits, m, horizon),
+                      _blocks(forced, n, horizon)), step, branches)
 
 
 def enumerate_paths(trellis: Trellis):
@@ -271,7 +269,7 @@ def enumerate_paths(trellis: Trellis):
     # shift and or, and the int order is the order of the label sequences.
     n = trellis.n
     paths = {0: [0]}
-    for sec in _prune(trellis.sections):
+    for sec in trellis.sections:
         held = sum(len(paths.get(s, ())) for s, _, _ in sec)
         if held > MAX_PATHS:
             raise ValueError(

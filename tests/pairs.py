@@ -109,7 +109,9 @@ ALL_PAIRS = (
 Z_MAIN = blocks("001 000 011 010")
 ZETA_MAIN = blocks("00 10 01 10 01")
 Z_MAIN_SHIFTED = blocks("000 001 010 011 000")
-MAIN_MASKS = {1: frozenset({3}), 5: frozenset({1, 2})}
+# ones mark the label bits pinned to zero: column 3 of block 1 and
+# columns 1 and 2 of block 5
+MAIN_MASKS = blocks("001 000 000 000 110")
 
 E_MAIN_RAW = tuple(
     blocks(s)

@@ -182,7 +182,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_min_weight_decoding():
     trellis = build_error_trellis(
         H_MAIN_RED, ZETA_MAIN, n_real=5,
-        masks={1: {3}, 5: {1, 2}})
+        masks=blocks("001 000 000 000 110"))
     e_hat, weight = min_weight_path(trellis)
     assert e_hat == blocks("000 100 000 100 000")
     assert weight == 2

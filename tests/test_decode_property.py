@@ -86,12 +86,13 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
     return Trellis(n, horizon, state_bits, tuple(sections))
 
 
-def stepping_sweep(horizon, n, state_bits, in_bits, key_of, step,
+def stepping_sweep(horizon, n, state_bits, in_bits, keys, step,
                    branches):
     """_sweep's signature over reference_sweep, stepping every (state,
     input) pair itself instead of relying on the machine's linearity."""
+    keys = iter(keys)
     return reference_sweep(
-        horizon, n, state_bits, in_bits, key_of,
+        horizon, n, state_bits, in_bits, lambda t: next(keys),
         lambda key, s: branches(key, (0, 0),
                                 [step(s, x) for x in range(1 << in_bits)]))
 
@@ -106,10 +107,16 @@ def reference_row_layout(M):
     return info
 
 
+def forced_columns(masks, t, n):
+    """The columns that masks, None or a BlockSequence, forces to zero in
+    section t."""
+    return frozenset(j for j in range(1, n + 1)
+                     if masks is not None and masks.bit(t, j))
+
+
 def reference_code_trellis(G, horizon, masks=None):
     layout = reference_row_layout(G)
     k, n = G.rows, G.cols
-    masks = masks or {}
     free_until = horizon - memory(G)
 
     def step(state, inputs):
@@ -127,7 +134,7 @@ def reference_code_trellis(G, horizon, masks=None):
         return new_state, tuple(label)
 
     def key_of(t):
-        return t <= free_until, frozenset(masks.get(t, ()))
+        return t <= free_until, forced_columns(masks, t, n)
 
     def branches_for(key, state):
         free, forced = key
@@ -147,7 +154,6 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
     if n_real is None:
         n_real = horizon - memory(H)
     layout = reference_row_layout(H)
-    masks = masks or {}
 
     def step(state, e_bits):
         out = []
@@ -171,7 +177,7 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
 
     def key_of(t):
         return (label_bits(syndrome.block(t - 1), syndrome.block_width),
-                flush if t > n_real else frozenset(masks.get(t, ())))
+                flush if t > n_real else forced_columns(masks, t, n))
 
     def branches_for(key, state):
         want, forced = key
@@ -338,7 +344,7 @@ LATE_START = Trellis(1, 2, 1, ([Branch(1, 0, 0), Branch(0, 1, 1),
 # An empty middle section cuts every path.
 EMPTY_MIDDLE = Trellis(1, 3, 1, ([Branch(0, 0, 0), Branch(0, 1, 1)], [],
                                  [Branch(0, 0, 0), Branch(1, 0, 1)]))
-# Not pruned: a path into section 2 that leads nowhere.
+# A path into section 2 that leads nowhere, which the Trellis prunes.
 DEAD_END = Trellis(1, 2, 1, ([Branch(0, 1, 0)], [Branch(0, 0, 0)]))
 CORNER_CASES = (SHARED_BEFORE_TWO, NO_START, LATE_START, EMPTY_MIDDLE,
                 DEAD_END)

@@ -6,7 +6,9 @@ result sorted by its blocks.  On random code and error trellises with masks (the
 of test_min_weight_property), on TIE_PAIR, whose code trellis has two
 branches with one label at every state, and on a code whose label
 sequences repeat, the packed enumeration must return the same list: same
-sequences, same multiplicity, same order.
+sequences, same multiplicity, same order.  A masked trellis must list
+exactly the paths of the unmasked one that have no one where the masks
+have one.
 """
 
 import random
@@ -80,3 +82,21 @@ def test_repeated_label_sequences_keep_their_multiplicity():
     found = enumerate_paths(code)
     assert len(found) == 4 * len(set(found)) == 16
     check(code)
+
+
+@SETTINGS
+@given(st.data())
+def test_masked_paths_are_the_unmasked_paths_the_masks_allow(data):
+    # a path respects the masks iff it has no one where they have one
+    M = data.draw(matrices())
+    n_real = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    zeta = random_feasible_syndrome(M, n_real, random.Random(seed))
+    horizon = memory(M) + n_real
+    mask = masks(data.draw, horizon, M.cols)
+    for build, args in ((build_code_trellis, (M, horizon)),
+                        (build_error_trellis, (M, zeta, n_real))):
+        found = enumerate_paths(build(*args, masks=mask))
+        assert all(not p.bits & mask.bits for p in found)
+        assert found == [p for p in enumerate_paths(build(*args))
+                         if not p.bits & mask.bits]

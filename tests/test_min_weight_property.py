@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifttrellis import (
+    BlockSequence,
     PolyMatrix,
     brute_codewords,
     brute_errors,
@@ -39,11 +40,10 @@ def matrices(draw):
 
 
 def masks(draw, horizon, n):
-    if not horizon:
-        return {}
-    return draw(st.dictionaries(st.integers(1, horizon),
-                                st.frozensets(st.integers(1, n)),
-                                max_size=horizon))
+    """horizon x n masks with a few ones, each a label bit forced to zero."""
+    pins = draw(st.frozensets(st.integers(0, n * horizon - 1),
+                              max_size=horizon)) if horizon else ()
+    return BlockSequence(n, horizon, sum(1 << p for p in pins))
 
 
 def check(trellis, admissible):
@@ -76,6 +76,5 @@ def test_code_trellis_min_weight_matches_brute_force(data):
     horizon = memory(G) + data.draw(st.integers(0, 3))
     mask = masks(data.draw, horizon, G.cols)
     trellis = build_code_trellis(G, horizon, masks=mask)
-    words = [y for y in brute_codewords(G, horizon)
-             if not any(y.bit(t, j) for t, cols in mask.items() for j in cols)]
+    words = [y for y in brute_codewords(G, horizon) if not y.bits & mask.bits]
     check(trellis, words)

@@ -129,17 +129,17 @@ def test_brute_errors_solution_space_cap():
         brute_errors(parse_matrix("1,1,1,1,1"), BlockSequence(1, 6, 0))
 
 
-@pytest.mark.parametrize("masks,message", [
-    ({99: {1}}, "mask section 99 outside 1..5"),
-    # on packed bits column 4 of block 2 would alias into block 1
-    ({2: {4}}, r"mask columns \[4\] outside 1..3"),
-])
-def test_brute_errors_refuses_masks_the_trellis_refuses(masks, message):
+def test_brute_errors_refuses_masks_the_trellis_refuses():
     zero = BlockSequence(2, 5, 0)
-    with pytest.raises(ValueError, match=message):
-        build_error_trellis(H_MAIN, zero, masks=masks)
-    with pytest.raises(ValueError, match=message):
-        brute_errors(H_MAIN, zero, masks=masks)
+    message = "^masks must be 5 blocks of 3 bits$"
+    # too wide (on packed bits column 4 of block 2 would alias into block
+    # 1), too narrow, too long, too short, and a dict of columns
+    for masks in (BlockSequence(4, 5, 0), BlockSequence(2, 5, 0),
+                  BlockSequence(3, 6, 0), BlockSequence(3, 4, 0), {2: {4}}):
+        with pytest.raises(ValueError, match=message):
+            build_error_trellis(H_MAIN, zero, masks=masks)
+        with pytest.raises(ValueError, match=message):
+            brute_errors(H_MAIN, zero, masks=masks)
 
 
 def test_random_feasible_syndrome_agreement():

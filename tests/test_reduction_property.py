@@ -100,8 +100,7 @@ def reduction_plans(draw, pair, bound=2):
 
 
 def unmasked(paths, masks):
-    return {p for p in paths
-            if not any(p.bit(t, j) for t, cols in masks.items() for j in cols)}
+    return {p for p in paths if not p.bits & masks.bits}
 
 
 def verify_case(data, whole_code):

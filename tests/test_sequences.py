@@ -105,24 +105,18 @@ def test_shift_round_trip():
 
 def test_boundary_masks():
     assert boundary_masks(MAIN_PLAN, 4) == MAIN_MASKS
-    assert boundary_masks(ShiftPlan.identity(3), 4) == {}
+    assert boundary_masks(ShiftPlan.identity(3), 4) == BlockSequence(3, 4, 0)
 
 
 def test_boundary_masks_longer_horizon():
     got = boundary_masks(MAIN_PLAN, 4, horizon=8)
-    assert got == {
-        1: frozenset({3}),
-        5: frozenset({1, 2}),
-        6: frozenset({1, 2, 3}),
-        7: frozenset({1, 2, 3}),
-        8: frozenset({1, 2, 3}),
-    }
+    assert got == blocks("001 000 000 000 110 111 111 111")
 
 
 def test_boundary_masks_advance():
     # a backward net shift wraps the tail instead of the head
     plan = make_type2_plan(3, (0, 0, 1))
-    assert boundary_masks(plan, 4) == {4: frozenset({3}), 5: frozenset({1, 2})}
+    assert boundary_masks(plan, 4) == blocks("000 000 000 001 110")
 
 
 def reference_source(p, s, n_real):
@@ -141,13 +135,9 @@ def test_shifts_match_per_position_reference():
         plan = random_csr_plan(rng, 3)
         n_real = rng.randrange(7)
         horizon = rng.randrange(15)
-        want = {}
-        for j, s in enumerate(plan.shifts, 1):
-            for t in range(1, horizon + 1):
-                if reference_source(t - 1, s, n_real) >= n_real:
-                    want.setdefault(t, set()).add(j)
-        assert boundary_masks(plan, n_real, horizon) == {
-            t: frozenset(cols) for t, cols in want.items()}
+        assert boundary_masks(plan, n_real, horizon) == from_bit_tuples(3, [
+            [int(reference_source(p, s, n_real) >= n_real)
+             for s in plan.shifts] for p in range(horizon)])
         need = n_real + max(abs(s) for s in plan.shifts) + rng.randrange(3)
         z = random_word(rng, 3, need)
         assert shift_received(z, plan, n_real) == from_bit_tuples(3, [
@@ -201,7 +191,7 @@ def test_verify_identity_plan():
         MAIN_PAIR, ShiftPlan.identity(3), Z_MAIN, 4)
     assert rep.passed
     # over the 6-block window the two pad sections are masked whole
-    assert rep.masks == {5: frozenset({1, 2, 3}), 6: frozenset({1, 2, 3})}
+    assert rep.masks == blocks("000 000 000 000 111 111")
     assert rep.reduction.nu_after == rep.reduction.nu_before
 
 
@@ -250,10 +240,9 @@ def test_verify_syndrome_matches_either_side():
 
 def test_verify_code_trellis_respects_masks():
     rep = verify_simultaneous_reduction(MAIN_PAIR, MAIN_PLAN, Z_MAIN, 4)
+    assert rep.masks.weight == 3
     for y in rep.code_paths:
-        for t, cols in rep.masks.items():
-            for j in cols:
-                assert y.bit(t, j) == 0
+        assert not y.bits & rep.masks.bits
 
 
 def test_verify_window_drains_the_shifted_syndrome():

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -31,9 +32,11 @@ from pairs import (
     G_MAIN,
     H_BACK_COLSHIFT,
     H_MAIN,
+    MAIN_MASKS,
     MAIN_PAIR,
     Z_MAIN,
     ZETA_MAIN,
+    blocks,
     from_bit_tuples,
 )
 
@@ -145,6 +148,21 @@ def test_code_trellis_work_cap():
         build_code_trellis(parse_matrix("1+D^24,1"), 30)
 
 
+def test_code_trellis_refuses_a_long_horizon_before_any_allocation():
+    # without masks no horizon-long int, text or list is made before the
+    # size check: 2^30 blocks of G = 1 are refused within a few KB
+    msg = ("trellis too large: 2^0 states x 1073741824 sections x 2^1 "
+           f"branches exceeds {MAX_TRELLIS_WORK}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            build_code_trellis(parse_matrix("1"), 1 << 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_error_trellis_work_cap():
     msg = ("trellis too large: 2^20 states x 40 sections x 2^2 branches "
            f"exceeds {MAX_TRELLIS_WORK}")
@@ -210,9 +228,46 @@ def test_enumerate_paths_holds_no_dead_prefixes():
                                   for b in (0b0011, 0b0111, 0b1011, 0b1111)]
 
 
+def test_trellis_is_pruned_when_made(monkeypatch):
+    # a hand-built trellis with dead ends: state 1 after section 1 has no
+    # way on, and state 1 after section 2 none to state 0 at the end
+    t = Trellis(1, 3, 1, (
+        [Branch(0, 0, 0), Branch(0, 1, 1)],
+        [Branch(0, 0, 1), Branch(0, 1, 0)],
+        [Branch(0, 0, 0), Branch(0, 0, 1)],
+    ))
+    assert t.sections == (
+        (Branch(0, 0, 0),),
+        (Branch(0, 0, 1),),
+        (Branch(0, 0, 0), Branch(0, 0, 1)),
+    )
+    # one section object repeated stays one pruned object
+    sec = [Branch(0, 0, 0), Branch(0, 1, 1)]
+    shared = Trellis(1, 2, 1, (sec, sec))
+    assert shared.sections[0] is shared.sections[1]
+
+    def no_prune(_):
+        raise AssertionError("_prune called")
+
+    monkeypatch.setattr(trellis, "_prune", no_prune)
+    assert enumerate_paths(t) == [blocks("0 1 0"), blocks("0 1 1")]
+
+
+def test_error_trellis_build_is_linear_in_the_syndrome_length():
+    # H = 1,1 over a random syndrome of 2^20 blocks: each section's key is
+    # read from one text of the syndrome and of the forced bits; shifting
+    # the whole packed int for each section made the build quadratic
+    n = 1 << 20
+    zeta = BlockSequence(1, n, random.Random(7).getrandbits(n))
+    start = time.perf_counter()
+    t = build_error_trellis(parse_matrix("1,1"), zeta)
+    assert time.perf_counter() - start < 10
+    assert (t.horizon, len(set(map(id, t.sections)))) == (n, 2)
+
+
 def test_code_trellis_masks():
     base = build_code_trellis(G_MAIN, 5)
-    masked = build_code_trellis(G_MAIN, 5, masks={1: {3}, 5: {1, 2}})
+    masked = build_code_trellis(G_MAIN, 5, masks=MAIN_MASKS)
     kept = enumerate_paths(masked)
     assert 0 < len(kept) < len(enumerate_paths(base))
     for y in kept:
@@ -220,15 +275,12 @@ def test_code_trellis_masks():
 
 
 def test_mask_validation():
-    with pytest.raises(ValueError, match="mask section 9"):
-        build_code_trellis(G_MAIN, 5, masks={9: {1}})
-    with pytest.raises(ValueError, match=r"mask columns \[4\]"):
-        build_code_trellis(G_MAIN, 5, masks={1: {4}})
-    # a section or column number must be an integer, not one rounded down
-    with pytest.raises(TypeError):
-        build_code_trellis(G_MAIN, 5, masks={1.5: {1}})
-    with pytest.raises(TypeError):
-        build_code_trellis(G_MAIN, 5, masks={1: {1.7}})
+    # masks are 5 blocks of 3 bits, or None; a dict of columns is refused
+    for masks in (BlockSequence(4, 5, 0), BlockSequence(2, 5, 0),
+                  BlockSequence(3, 9, 0), BlockSequence(3, 4, 0), {1: {3}}):
+        with pytest.raises(ValueError,
+                           match="^masks must be 5 blocks of 3 bits$"):
+            build_code_trellis(G_MAIN, 5, masks=masks)
 
 
 def test_min_weight_path():
@@ -349,7 +401,8 @@ def test_error_builder_expands_each_state_once_per_forced_set():
     assert calls == 4 + 64
     t, calls = traced_steps(build_code_trellis,
                             parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6"),
-                            200, {1: {1}, 100: {2}})
+                            200, parse_blocks("10" + " 00" * 98 + " 01"
+                                              + " 00" * 100))
     assert count_paths(t) > 0
     assert calls == 2 + 64
 
