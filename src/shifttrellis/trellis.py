@@ -106,10 +106,14 @@ def _forced(masks, horizon, n, flush=0):
 
 
 def _blocks(bits, width, length):
-    """A packed sequence's blocks in order, each read from one text."""
-    text = format(bits, f"0{width * length}b")
-    for i in range(0, width * length, width):
-        yield int(text[i:i + width], 2)
+    """A packed sequence's blocks in order, read 64 at a time from one
+    text of its bits: no block costs a shift of the whole int."""
+    text, mask = format(bits, f"0{width * length}b"), (1 << width) - 1
+    for i in range(0, width * length, 64 * width):
+        chunk = text[i:i + 64 * width]
+        value = int(chunk, 2)
+        for low in range(len(chunk) - width, -1, -width):
+            yield value >> low & mask
 
 
 def _sweep(horizon, n, state_bits, in_bits, keys, step, branches):
