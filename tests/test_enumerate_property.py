@@ -87,7 +87,6 @@ def test_repeated_label_sequences_keep_their_multiplicity():
 @SETTINGS
 @given(st.data())
 def test_masked_paths_are_the_unmasked_paths_the_masks_allow(data):
-    # a path respects the masks iff it has no one where they have one
     M = data.draw(matrices())
     n_real = data.draw(st.integers(0, 3))
     seed = data.draw(st.integers(0, 2**32 - 1))
