@@ -6,7 +6,7 @@ bit is the most significant.  Equality, hashing, xor and weight are then
 single int operations, and for sequences of one shape the int order is
 exactly the lexicographic order of the printed blocks.  A sequence is built
 from that int alone, BlockSequence(w, L, bits), and read as ints (bits,
-block, bit) or as text (parse_blocks, format_blocks); columns and
+block, bit, block_values) or as text (parse_blocks, format_blocks); columns and
 from_columns convert to and from one polynomial over time per component.
 """
 
@@ -140,6 +140,15 @@ def from_columns(width: int, length: int, polys) -> BlockSequence:
             for p in polys]
     return BlockSequence(
         width, length, int("0" + "".join(map("".join, zip(*rows))), 2))
+
+
+def block_values(bits: int, width: int, length: int):
+    """The length blocks of width bits packed in bits, in order, as ints.
+    Each is cut from one text of bits, so no block costs a shift of the
+    whole int, and nothing is made before the first block is asked for."""
+    text = format(bits, f"0{width * length}b")
+    for i in range(0, width * length, width):
+        yield int(text[i:i + width], 2)
 
 
 # Texts are read chunk by chunk, at most _CHUNK_BITS bits of blocks at a

@@ -38,7 +38,7 @@ from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .blocks import BlockSequence, _shape
+from .blocks import BlockSequence, block_values
 from .gf2poly import (
     PolyMatrix,
     exponents,
@@ -99,21 +99,11 @@ def _row_layout(M: PolyMatrix):
 def _forced(masks, horizon, n, flush=0):
     """The packed label bits forced to zero: those of masks, None or a
     horizon x n BlockSequence, and every bit of the last flush blocks."""
-    if masks is not None and not (isinstance(masks, BlockSequence)
-                                  and _shape(masks) == (n, horizon)):
+    if masks is not None and not (
+            isinstance(masks, BlockSequence)
+            and (masks.block_width, masks.length) == (n, horizon)):
         raise ValueError(f"masks must be {horizon} blocks of {n} bits")
     return (0 if masks is None else masks.bits) | (1 << max(flush, 0) * n) - 1
-
-
-def _blocks(bits, width, length):
-    """A packed sequence's blocks in order, read 64 at a time from one
-    text of its bits: no block costs a shift of the whole int."""
-    text, mask = format(bits, f"0{width * length}b"), (1 << width) - 1
-    for i in range(0, width * length, 64 * width):
-        chunk = text[i:i + 64 * width]
-        value = int(chunk, 2)
-        for low in range(len(chunk) - width, -1, -width):
-            yield value >> low & mask
 
 
 def _sweep(horizon, n, state_bits, in_bits, keys, step, branches):
@@ -187,10 +177,8 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
         raise ValueError("horizon too short to terminate")
     layout = _row_layout(G)
     k, n = G.rows, G.cols
-    forced = _forced(masks, horizon, n)
-    # lazy, so nothing as long as the horizon is made before the size check
     keys = zip(chain(repeat(True, horizon - mem), repeat(False, mem)),
-               _blocks(forced, n, horizon) if forced else repeat(0))
+               block_values(_forced(masks, horizon, n), n, horizon))
 
     def step(state, inputs):
         # Row i's register holds its input (bit i of inputs) above its
@@ -257,8 +245,8 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
                 if out ^ out0 == want and not e & forced]
 
     return _sweep(horizon, n, overall_constraint_length(H), n,
-                  zip(_blocks(syndrome.bits, m, horizon),
-                      _blocks(forced, n, horizon)), step, branches)
+                  zip(block_values(syndrome.bits, m, horizon),
+                      block_values(forced, n, horizon)), step, branches)
 
 
 def enumerate_paths(trellis: Trellis):

@@ -40,10 +40,14 @@ def matrices(draw):
 
 
 def masks(draw, horizon, n):
-    """horizon x n masks with a few ones, each a label bit forced to zero."""
-    pins = draw(st.frozensets(st.integers(0, n * horizon - 1),
-                              max_size=horizon)) if horizon else ()
-    return BlockSequence(n, horizon, sum(1 << p for p in pins))
+    """horizon x n masks: any set of columns forced to zero (a one) in each
+    of some sections, so every mask of that shape can be drawn."""
+    pinned = draw(st.dictionaries(st.integers(1, horizon),
+                                  st.frozensets(st.integers(1, n)),
+                                  max_size=horizon)) if horizon else {}
+    return BlockSequence(n, horizon, sum(1 << (horizon - t) * n + n - j
+                                         for t, cols in pinned.items()
+                                         for j in cols))
 
 
 def check(trellis, admissible):

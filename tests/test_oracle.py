@@ -129,14 +129,20 @@ def test_brute_errors_solution_space_cap():
         brute_errors(parse_matrix("1,1,1,1,1"), BlockSequence(1, 6, 0))
 
 
-# each case is named for the refusal it had when masks were dicts of
-# sections to columns; as a horizon x n sequence it is refused by shape
+# The first two cases keep the ids of the refusals they had when masks were
+# dicts of sections to columns; as horizon x n sequences every case is
+# refused by shape.
 @pytest.mark.parametrize("masks,case", [
     # column 1 of section 99, past the horizon of 5
     (parse_blocks("000 " * 98 + "100"), "mask section 99 outside 1..5"),
     # on packed bits column 4 of block 2 would alias into block 1
     (parse_blocks("0000 0001 0000 0000 0000"),
      r"mask columns \[4\] outside 1..3"),
+    (BlockSequence(4, 5, 0), "too wide"),
+    (BlockSequence(2, 5, 0), "too narrow"),
+    (BlockSequence(3, 6, 0), "too long"),
+    (BlockSequence(3, 4, 0), "too short"),
+    ({2: {4}}, "a dict of columns"),
 ])
 def test_brute_errors_refuses_masks_the_trellis_refuses(masks, case):
     zero = BlockSequence(2, 5, 0)
@@ -145,18 +151,6 @@ def test_brute_errors_refuses_masks_the_trellis_refuses(masks, case):
         build_error_trellis(H_MAIN, zero, masks=masks)
     with pytest.raises(ValueError, match=message):
         brute_errors(H_MAIN, zero, masks=masks)
-
-
-def test_masks_of_another_shape_are_refused():
-    zero = BlockSequence(2, 5, 0)
-    message = "^masks must be 5 blocks of 3 bits$"
-    # too wide, too narrow, too long, too short, and a dict of columns
-    for masks in (BlockSequence(4, 5, 0), BlockSequence(2, 5, 0),
-                  BlockSequence(3, 6, 0), BlockSequence(3, 4, 0), {2: {4}}):
-        with pytest.raises(ValueError, match=message):
-            build_error_trellis(H_MAIN, zero, masks=masks)
-        with pytest.raises(ValueError, match=message):
-            brute_errors(H_MAIN, zero, masks=masks)
 
 
 def test_random_feasible_syndrome_agreement():
