@@ -6,7 +6,7 @@ bit is the most significant.  Equality, hashing, xor and weight are then
 single int operations, and for sequences of one shape the int order is
 exactly the lexicographic order of the printed blocks.  A sequence is built
 from that int alone, BlockSequence(w, L, bits), and read as ints (bits,
-block, bit, block_values) or as text (parse_blocks, format_blocks); columns and
+bit, block_values) or as text (parse_blocks, format_blocks); columns and
 from_columns convert to and from one polynomial over time per component.
 """
 
@@ -67,14 +67,6 @@ class BlockSequence:
     def __len__(self):
         return self.length
 
-    def block(self, k: int) -> int:
-        """Block k (0-based, negative from the end) as a packed int."""
-        i = k + self.length if k < 0 else k
-        if not 0 <= i < self.length:
-            raise IndexError(f"block {k} of {self.length}")
-        w = self.block_width
-        return self.bits >> (self.length - 1 - i) * w & (1 << w) - 1
-
     def bit(self, t: int, j: int) -> int:
         """Component j of the block at time t (both 1-based)."""
         w = self.block_width
@@ -111,18 +103,25 @@ _set_bits = BlockSequence.bits.__set__
 
 
 def parse_blocks(text: str, width=None) -> BlockSequence:
-    """Parse whitespace-separated bit blocks, e.g. "001 000 011 010 000"."""
+    """Parse whitespace-separated bit blocks, e.g. "001 000 011 010 000".
+
+    The joined text and the block lengths are checked whole; only a failed
+    check scans block by block, to name the first bad block, and a block
+    that is not a bit string is named before one of the wrong width."""
     parts = text.split()
     if not parts:
         raise ValueError("empty block sequence")
-    for k, part in enumerate(parts, 1):
-        if any(c not in "01" for c in part):
-            raise ValueError(f"block {k}: {part!r} is not a bit string")
+    joined = "".join(parts)
+    if joined.count("0") + joined.count("1") != len(joined):
+        k, part = next((k, part) for k, part in enumerate(parts, 1)
+                       if part.strip("01"))
+        raise ValueError(f"block {k}: {part!r} is not a bit string")
     w = width if width is not None else len(parts[0])
-    for k, part in enumerate(parts, 1):
-        if len(part) != w:
-            raise ValueError(f"block {k}: expected width {w}, got {len(part)}")
-    return BlockSequence(w, len(parts), int("".join(parts), 2))
+    if set(map(len, parts)) != {w}:
+        k, part = next((k, part) for k, part in enumerate(parts, 1)
+                       if len(part) != w)
+        raise ValueError(f"block {k}: expected width {w}, got {len(part)}")
+    return BlockSequence(w, len(parts), int(joined, 2))
 
 
 def columns(seq: BlockSequence) -> list:

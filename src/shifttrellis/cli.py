@@ -51,7 +51,6 @@ from .transform import (
 from .trellis import (
     build_code_trellis,
     build_error_trellis,
-    count_paths,
     enumerate_paths,
     min_weight_path,
     trellis_dot,
@@ -106,6 +105,15 @@ def _nu_line(r):
             f"(dual {r.nu_before_dual} -> {r.nu_after_dual})")
 
 
+def _nu_json(r):
+    """The nu figures of a reduction or a search result, as JSON keys."""
+    return {"nuBefore": r.nu_before,
+            "nuBeforeDual": r.nu_before_dual,
+            "nuAfter": r.nu_after,
+            "nuAfterDual": r.nu_after_dual,
+            "reduced": r.reduced}
+
+
 def _plan_json(plan):
     return dict(zip(("gDiv", "gMul", "hDiv", "hMul"), map(list, plan.parts())))
 
@@ -142,11 +150,7 @@ def cmd_suggest(args):
     if args.format == "json":
         text = _dump({"backwardShifts": list(back),
                       "bestPlan": _plan_json(best.plan),
-                      "nuBefore": best.nu_before,
-                      "nuBeforeDual": best.nu_before_dual,
-                      "nuAfter": best.nu_after,
-                      "nuAfterDual": best.nu_after_dual,
-                      "reduced": best.reduced})
+                      **_nu_json(best)})
     else:
         lines = ["backward shifts: " + " ".join(
                      "inf" if b is None else str(b) for b in back),
@@ -173,11 +177,7 @@ def cmd_reduce(args):
     rep = simultaneous_reduce(pair, plan)
     if args.format == "json":
         text = _dump({
-            "nuBefore": rep.nu_before,
-            "nuBeforeDual": rep.nu_before_dual,
-            "nuAfter": rep.nu_after,
-            "nuAfterDual": rep.nu_after_dual,
-            "reduced": rep.reduced,
+            **_nu_json(rep),
             "rowDivisionsApplied": {side: list(exps) for side, exps
                                     in rep.row_divisions_applied.items()},
             "plan": _plan_json(plan),
@@ -229,7 +229,8 @@ def cmd_error_trellis(args):
     _check_n_blocks(args, len(syn), exact=False)
     t = build_error_trellis(h, syn, n_real=args.n_blocks)
     if args.format == "dot":
-        return trellis_dot(t), 0 if count_paths(t) else 1
+        # a built trellis is pruned: it has a path iff no section is empty
+        return trellis_dot(t), 0 if all(t.sections) else 1
     paths = enumerate_paths(t)
     flag = "feasible: yes" if paths else "feasible: no (infeasible syndrome)"
     return _trellis_report(t, args.format, paths, [flag]), 0 if paths else 1

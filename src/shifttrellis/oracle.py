@@ -2,15 +2,17 @@
 
 Nothing here runs the trellis builders.  Both sets are affine GF(2) spaces
 over packed ints: the codewords span the encoder's responses to single
-input bits, and the error sequences are one solution of the syndrome
-convolution plus the span of its kernel.  Agreement between these and the
-trellis path sets is the strongest check the package has.
+input bits, and the error sequences are the preimage of a syndrome under
+sequences.syndrome, one solution plus the span of that map's kernel.
+Agreement between these and the trellis path sets is the strongest check
+the package has.
 """
 
 from __future__ import annotations
 
 from .blocks import BlockSequence, format_blocks, from_columns
 from .gf2poly import PolyMatrix, exponents, memory
+from .sequences import syndrome
 from .trellis import _forced
 
 
@@ -70,11 +72,12 @@ def brute_codewords(G: PolyMatrix, n_real: int):
 
 def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
                  masks=None):
-    """All error sequences whose convolution with H^T gives syn, sorted.
+    """All error sequences e with syndrome(e, H) == syn, sorted.
 
     Unknowns are the error bits not pinned to zero by the flush boundary
-    (everything past n_real) or by masks; the convolution equations are
-    solved exactly by Gaussian elimination, and only the solution space is
+    (everything past n_real) or by masks.  syndrome is linear, so the
+    answers are one solution plus the kernel of syndrome on the unknowns;
+    Gaussian elimination finds both, and only the solution space is
     enumerated.  An unsatisfiable syndrome yields the empty list.
     """
     m, n = H.rows, H.cols
@@ -90,32 +93,29 @@ def brute_errors(H: PolyMatrix, syn: BlockSequence, n_real=None,
     if n_real > MAX_HORIZON:
         raise ValueError(f"horizon {n_real} exceeds cap {MAX_HORIZON}")
 
-    # Bit (horizon - t) * n + n - j is column j of block t; the right-hand
-    # side sits above them all, at bit rhs.
-    rhs = horizon * n
-    unknown = (1 << rhs) - 1 ^ _forced(masks, horizon, n, horizon - n_real)
-    rows = []
-    for t in range(1, horizon + 1):
-        for i in range(1, m + 1):
-            row = syn.bit(t, i) << rhs
-            for j in range(1, n + 1):
-                for d in exponents(H.entry(i, j)):
-                    if d < t:
-                        row ^= 1 << (horizon - t + d) * n + n - j
-            rows.append(row & (unknown | 1 << rhs))
+    # One row per unknown bit b: the syndrome of the sequence holding only
+    # bit b in the low `low` bits, and bit b itself above them.
+    low = horizon * m
+    unknown = (1 << horizon * n) - 1 ^ _forced(masks, horizon, n,
+                                                horizon - n_real)
+    rows = [syndrome(BlockSequence(n, horizon, 1 << b), H).bits | 1 << low + b
+            for b in exponents(unknown)]
 
-    pivots = _echelon(rows)
-    if any(bit == rhs for bit, _ in pivots):
+    # Pivots in the syndrome part reduce syn to one solution; the rest,
+    # whose syndromes cancel, span the kernel.
+    e0, kernel = syn.bits, []
+    for bit, row in _echelon(rows):
+        if bit >= low:
+            kernel.append(row >> low)
+        elif e0 >> bit & 1:
+            e0 ^= row
+    if e0 & (1 << low) - 1:
         return []
-    free = unknown - sum(1 << bit for bit, _ in pivots)
-    kernel = [1 << f | sum(1 << bit for bit, row in pivots if row >> f & 1)
-              for f in exponents(free)]
     if len(kernel) > MAX_INFO_BITS:
         raise ValueError(
             f"solution space needs 2^{len(kernel)} words, cap is "
             f"2^{MAX_INFO_BITS}")
-    e0 = sum(1 << bit for bit, row in pivots if row >> rhs & 1)
-    return [BlockSequence(n, horizon, e) for e in _span(e0, kernel)]
+    return [BlockSequence(n, horizon, e) for e in _span(e0 >> low, kernel)]
 
 
 def random_feasible_syndrome(H: PolyMatrix, n_real: int, rng) -> BlockSequence:
@@ -123,7 +123,6 @@ def random_feasible_syndrome(H: PolyMatrix, n_real: int, rng) -> BlockSequence:
 
     Feasible by construction: the drawn sequence itself is admissible.
     """
-    from .sequences import syndrome
     # one draw per bit, in reading order: block 1 column 1 first
     bits = 0
     for _ in range(n_real * H.cols):

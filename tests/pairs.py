@@ -14,6 +14,7 @@ from shifttrellis import (
     parse_blocks,
     parse_matrix,
 )
+from shifttrellis.blocks import block_values
 
 
 def pair(g, h):
@@ -31,8 +32,8 @@ def label_bits(label, n):
 
 def bit_tuples(seq):
     """Every block of seq as a tuple of bits."""
-    return tuple(label_bits(seq.block(k), seq.block_width)
-                 for k in range(len(seq)))
+    w = seq.block_width
+    return tuple(label_bits(b, w) for b in block_values(seq.bits, w, len(seq)))
 
 
 def from_bit_tuples(width, blocks):

@@ -40,6 +40,6 @@ def test_package_names():
 
 def test_block_sequence_names():
     assert public(BlockSequence) == [
-        "bit", "bits", "block", "block_width", "check_shape", "length",
+        "bit", "bits", "block_width", "check_shape", "length",
         "padded", "weight",
     ]

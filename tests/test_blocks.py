@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from shifttrellis import BlockSequence, format_blocks, parse_blocks
+from shifttrellis.blocks import block_values
 
 
 def test_parse_format_round_trip():
@@ -26,10 +29,23 @@ def test_parse_errors():
         parse_blocks("")
 
 
+def test_parse_error_names_the_first_bad_block():
+    # a block that is not a bit string is named before one of the wrong
+    # width, even a later one; int() would take the last two
+    for text, message in (
+            ("00 001 0a 2", "block 3: '0a' is not a bit string"),
+            ("0 0_1", "block 2: '0_1' is not a bit string"),
+            ("1 +1", "block 2: '+1' is not a bit string"),
+            ("00 001 01 1", "block 2: expected width 2, got 3")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_blocks(text)
+    with pytest.raises(ValueError, match="^block 1: expected width 3, got 2$"):
+        parse_blocks("00 001", width=3)
+
+
 def test_indexing():
     z = parse_blocks("001 000 011 010")
-    assert z.block(0) == 0b001
-    assert z.block(3) == z.block(-1) == 0b010
+    assert list(block_values(z.bits, 3, 4)) == [0b001, 0b000, 0b011, 0b010]
     # bit(t, j) is 1-based on both axes
     assert z.bit(1, 3) == 1
     assert z.bit(3, 2) == 1

@@ -23,7 +23,7 @@ from shifttrellis import (
     format_sequences,
     parse_blocks,
 )
-from shifttrellis.blocks import _TABLES
+from shifttrellis.blocks import _TABLES, block_values
 from pairs import bit_tuples, from_bit_tuples
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -107,14 +107,11 @@ def test_packed_matches_tuple_reference(wb, data):
     assert format_blocks(seq) == ref.text()
     if blocks:
         assert parse_blocks(ref.text(), width=w) == seq
-        k = data.draw(st.integers(-len(blocks), len(blocks) - 1))
-        assert seq.block(k) == int("".join(map(str, ref[k])), 2)
         t = data.draw(st.integers(1, len(blocks)))
         j = data.draw(st.integers(1, w))
         assert seq.bit(t, j) == ref.bit(t, j)
-    for k in (len(blocks), -len(blocks) - 1):
-        with pytest.raises(IndexError):
-            seq.block(k)
+    assert list(block_values(seq.bits, w, len(seq))) == [
+        int("".join(map(str, blk)), 2) for blk in ref.blocks]
     extra = data.draw(st.integers(0, 5))
     assert (format_blocks(seq.padded(len(seq) + extra))
             == ref.padded(len(ref) + extra).text())

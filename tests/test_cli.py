@@ -199,6 +199,10 @@ def test_error_trellis_infeasible(files, capsys):
     rc, out, _ = run(capsys, "error-trellis", str(hs), str(bad))
     assert rc == 1
     assert "feasible: no (infeasible syndrome)" in out
+    # the pruned trellis of a syndrome nobody can produce has no branch
+    rc, out, err = run(capsys, "error-trellis", str(hs), str(bad),
+                       "--format", "dot")
+    assert (rc, out, err) == (1, "digraph trellis {\n  rankdir=LR;\n}\n", "")
 
 
 def counted_calls(monkeypatch, name, *modules):
@@ -218,17 +222,17 @@ def counted_calls(monkeypatch, name, *modules):
 @pytest.mark.parametrize("argv, counts", [
     (("code-trellis", "g", "--n-blocks", "4"), {"text": 0, "json": 0,
                                                 "dot": 0}),
-    (("error-trellis", "h", "zeta"), {"text": 0, "json": 0, "dot": 1}),
+    (("error-trellis", "h", "zeta"), {"text": 0, "json": 0, "dot": 0}),
 ])
 def test_trellis_commands_count_paths_once_per_read(files, capsys,
                                                     monkeypatch, argv,
                                                     counts):
     # a listed report decides its cap on the listing walk and takes
-    # feasibility from the list; only an error-trellis DOT counts for it
-    import shifttrellis.cli as cli
+    # feasibility from the list; an error-trellis DOT takes it from the
+    # pruned sections, none of them empty
     import shifttrellis.trellis as trellis
 
-    calls = counted_calls(monkeypatch, "count_paths", trellis, cli)
+    calls = counted_calls(monkeypatch, "count_paths", trellis)
     cmd, *rest = argv
     for fmt, want in counts.items():
         calls.clear()
@@ -438,10 +442,9 @@ def test_long_k7_listing_refused_without_counting(files, capsys,
                                                   monkeypatch):
     # 2^131066 codewords: the refusal comes from the walk's first layers,
     # with no exact count, whose big-int sums grow with the horizon
-    import shifttrellis.cli as cli
     import shifttrellis.trellis as trellis
 
-    calls = counted_calls(monkeypatch, "count_paths", trellis, cli)
+    calls = counted_calls(monkeypatch, "count_paths", trellis)
     g = files["tmp"] / "G7.txt"
     g.write_text("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6\n")
     rc, out, err = run(capsys, "code-trellis", str(g), "--n-blocks", "131072")

@@ -51,6 +51,7 @@ from shifttrellis import (
     syndrome,
     trellis,
 )
+from shifttrellis.blocks import block_values
 from shifttrellis.trellis import MAX_TRELLIS_WORK
 from pairs import TIE_PAIR, blocks, from_bit_tuples, label_bits
 from test_min_weight_property import SETTINGS, masks, matrices
@@ -174,9 +175,11 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
         return new_state, tuple(out)
 
     flush = frozenset(range(1, n + 1))
+    m = syndrome.block_width
+    wanted = list(block_values(syndrome.bits, m, horizon))
 
     def key_of(t):
-        return (label_bits(syndrome.block(t - 1), syndrome.block_width),
+        return (label_bits(wanted[t - 1], m),
                 flush if t > n_real else forced_columns(masks, t, n))
 
     def branches_for(key, state):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shifttrellis import (
     BlockSequence,
@@ -32,6 +34,7 @@ from pairs import (
     Z_MAIN_SHIFTED,
     ZETA_MAIN,
 )
+from test_min_weight_property import SETTINGS, masks, matrices
 
 
 def test_brute_codewords_small():
@@ -94,6 +97,33 @@ def test_brute_errors_match_trellis():
 def test_brute_errors_with_masks():
     got = brute_errors(H_MAIN_RED, ZETA_MAIN, n_real=5, masks=MAIN_MASKS)
     assert tuple(got) == E_MAIN_RED
+
+
+@SETTINGS
+@given(st.data())
+def test_brute_errors_is_the_preimage_of_syn(data):
+    """On random small H, masks and horizons, brute_errors lists exactly
+    the words on the free bits (at most 3 x 4 of them) whose syndrome is
+    syn, sorted; half the syndromes are drawn at random, many infeasible."""
+    H = data.draw(matrices())
+    m, n = H.rows, H.cols
+    n_real = data.draw(st.integers(0, 3))
+    horizon = n_real + memory(H) + data.draw(st.integers(0, 2))
+    mask = masks(data.draw, horizon, n)
+    if data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        syn = random_feasible_syndrome(H, n_real, random.Random(seed))
+        syn = syn.padded(horizon)
+    else:
+        syn = BlockSequence(m, horizon,
+                            data.draw(st.integers(0, (1 << m * horizon) - 1)))
+    forced = mask.bits | (1 << (horizon - n_real) * n) - 1
+    free = [b for b in range(horizon * n) if not forced >> b & 1]
+    words = (BlockSequence(n, horizon, sum(1 << b for k, b in enumerate(free)
+                                           if w >> k & 1))
+             for w in range(1 << len(free)))
+    want = sorted(e for e in words if syndrome(e, H) == syn)
+    assert brute_errors(H, syn, n_real=n_real, masks=mask) == want
 
 
 def test_brute_errors_shift_onto_reduced_set():
