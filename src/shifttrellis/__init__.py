@@ -10,7 +10,6 @@ from .gf2poly import (
     column_delay,
     degree,
     delay,
-    divide_by_power,
     exponents,
     format_matrix,
     format_poly,

@@ -12,7 +12,9 @@ or catches an exception.  main alone writes the report, to stdout or to
   and parses an input file, and from an --out that cannot be written; 1
   from _pair for matrices that are not a pair;
 - a ValueError or RuntimeError, the two exceptions the library raises on
-  purpose, exits 1.
+  purpose, exits 1;
+- a reader that closes stdout early (`| head`) ends it with status 1 and
+  nothing on stderr.
 Any other exception is a bug and keeps its traceback.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -417,8 +420,13 @@ def main(argv=None):
         if args.out:
             _write(args.out, text)
         else:
-            print(text)
+            print(text, flush=True)
         return status
+    except BrokenPipeError:
+        # As Python's signal docs advise: point stdout at devnull, so the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _Fail as exc:
         code, message = exc.code, str(exc)
     except (ValueError, RuntimeError) as exc:

@@ -55,16 +55,6 @@ def delay(p: Poly) -> int:
     return (p & -p).bit_length() - 1
 
 
-def divide_by_power(p: Poly, l: int) -> Poly:
-    """Strip a factor D^l from p.  Errors if p is not divisible by D^l."""
-    if p == 0:
-        return 0
-    if delay(p) < l:
-        raise ValueError(
-            f"not divisible: {format_poly(p)} has delay {delay(p)}, needs {l}")
-    return p >> l
-
-
 def parse_poly(text: str) -> Poly:
     """Parse terms like "1+D+D^2" (no whitespace).  Repeated terms cancel,
     and an exponent above MAX_EXPONENT is refused."""

@@ -21,7 +21,6 @@ from .gf2poly import (
     GHPair,
     PolyMatrix,
     column_delay,
-    divide_by_power,
     reciprocal_dual,
     row_delay,
 )
@@ -183,7 +182,7 @@ def reduce_rows_equivalent(M: PolyMatrix):
     exps = tuple(row_delay(M, i) for i in range(1, M.rows + 1))
     ents = []
     for i in range(1, M.rows + 1):
-        ents.extend(divide_by_power(e, exps[i - 1]) for e in M.row(i))
+        ents.extend(e >> exps[i - 1] for e in M.row(i))
     return PolyMatrix(M.rows, M.cols, tuple(ents)), exps
 
 

@@ -24,11 +24,11 @@ one built earlier is that same tuple object.  Both builders refuse, before
 any work, a trellis whose states x sections x branches per state exceed
 MAX_TRELLIS_WORK.
 
-count_paths and min_weight_path share one backward pass, in the (+, x) and
-the (min, +) semiring, over lists: the states alive at a time index are
-numbered by their place among the from-states of the section leaving it.
-It yields one time index at a time: count_paths holds only the latest,
-and min_weight_path, whose forward tie pass reads them all, keeps each.
+Each path question has a pass of its own.  count_paths counts forward,
+branch by branch, holding one dict of counts per time index.
+min_weight_path runs a backward (min, +) pass over lists, in which the
+states alive at a time index are numbered by their place among the
+from-states of the section leaving it, then a forward tie walk.
 """
 
 from __future__ import annotations
@@ -288,13 +288,32 @@ def min_weight_path(trellis: Trellis):
     because one state may have two branches with the same label, so equal
     prefixes can reach different states.
     """
-    passes = list(_backward(trellis.sections, True))[::-1]
-    start, _, costs = passes[0]
-    weight = left = costs[start.get(0, -1)]
+    # Per time index, from the end back to 0: the moves of the section
+    # leaving it and the least weights to go, both by position, the costs
+    # with a dead slot last.  pos numbers the states the section starts
+    # from ({0: 0} at the end).  Each (section, successor) pair is laid out
+    # once.
+    layouts, succ = {}, None
+    pos, costs = {0: 0}, [0, _INF]
+    passes = [(None, costs)]
+    for sec in reversed(trellis.sections):
+        key = id(sec), id(succ)
+        if key not in layouts:
+            layouts[key] = _layout(sec, pos)
+        pos, get, ws, width, moves = layouts[key]
+        ends = list(map(add, get(costs), ws))
+        folded = ends[::width]
+        for k in range(1, width):
+            more = ends[k::width]
+            folded = [x if x <= y else y for x, y in zip(folded, more)]
+        costs, succ = [*folded, _INF], sec
+        passes.append((moves, costs))
+    weight = left = costs[pos.get(0, -1)]
     if weight == _INF:
         raise ValueError("no admissible path")
-    n, states, bits = trellis.n, {start[0]}, 0
-    for (_, moves, _), (_, _, after) in zip(passes, passes[1:]):
+    passes.reverse()
+    n, states, bits = trellis.n, {pos[0]}, 0
+    for (moves, _), (_, after) in zip(passes, passes[1:]):
         tied = [(label, p) for s in states for p, label in moves[s]
                 if bin(label).count("1") + after[p] == left]
         best = min(label for label, _ in tied)
@@ -304,47 +323,11 @@ def min_weight_path(trellis: Trellis):
     return BlockSequence(n, trellis.horizon, bits), weight
 
 
-def count_paths(trellis: Trellis) -> int:
-    """Exact number of paths from state 0 to state 0 at the end; a state's
-    two branches with one label are two paths, as enumerate_paths lists.
-    Only the latest time index's counts are held."""
-    for start, _, counts in _backward(trellis.sections, False):
-        pass
-    return counts[start.get(0, -1)]
-
-
-def _backward(sections, weighted):
-    """Per time index, from the end back to 0, each state's value over its
-    paths to state 0 at the end: the least weight if weighted (min, +),
-    else the count (+, x).  Yields (the position of each state the section
-    leaving the index starts from, {0: 0} at the end; if weighted, that
-    section's moves by position; the values by position, a dead slot
-    last), laying out each (section, successor) pair once with _layout."""
-    end, dead = (0, _INF) if weighted else (1, 0)
-    layouts = {}
-    pos, after, values = {0: 0}, None, [end, dead]
-    yield pos, None, values
-    for sec in reversed(sections):
-        key = id(sec), id(after)
-        if key not in layouts:
-            layouts[key] = _layout(sec, pos, weighted)
-        pos, get, ws, width, moves = layouts[key]
-        ends = list(map(add, get(values), ws)) if weighted else get(values)
-        folded = ends[::width]
-        for k in range(1, width):
-            more = ends[k::width]
-            folded = ([x if x <= y else y for x, y in zip(folded, more)]
-                      if weighted else map(add, folded, more))
-        values, after = [*folded, dead], sec
-        yield pos, moves, values
-
-
-def _layout(sec, after, weighted):
+def _layout(sec, after):
     """sec's from-states numbered in first-seen order; a getter of each
     branch's to-position in `after` (-1: the dead slot), state by state,
-    each padded to `width` by a dead branch of label 0; if weighted, the
-    label weights in that order; width; if weighted, per position its
-    (to-position, label) list."""
+    each padded to `width` by a dead branch of label 0; the label weights
+    in that order; width; per position its (to-position, label) list."""
     groups = {}
     for b in sec:
         groups.setdefault(b[0], []).append(b)
@@ -353,10 +336,24 @@ def _layout(sec, after, weighted):
             for b in g + [(None, None, 0)] * (width - len(g))]
     tos = [after.get(ns, -1) for _, ns, _ in flat]
     get = itemgetter(*tos) if len(tos) > 1 else lambda v: [v[p] for p in tos]
-    ws = weighted and [bin(label).count("1") for _, _, label in flat]
-    moves = weighted and [[(after.get(ns, -1), label) for _, ns, label in g]
-                          for g in groups.values()]
+    ws = [bin(label).count("1") for _, _, label in flat]
+    moves = [[(after.get(ns, -1), label) for _, ns, label in g]
+             for g in groups.values()]
     return {s: i for i, s in enumerate(groups)}, get, ws, width, moves
+
+
+def count_paths(trellis: Trellis) -> int:
+    """Exact number of paths from state 0 to state 0 at the end; a state's
+    two branches with one label are two paths, as enumerate_paths lists.
+    Only the latest time index's counts are held."""
+    counts = {0: 1}
+    for sec in trellis.sections:
+        nxt = {}
+        for s, ns, _ in sec:
+            if s in counts:
+                nxt[ns] = nxt.get(ns, 0) + counts[s]
+        counts = nxt
+    return counts.get(0, 0)
 
 
 def trellis_dot(trellis: Trellis) -> str:

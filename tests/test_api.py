@@ -24,7 +24,7 @@ def test_package_names():
         "apply_plan", "assert_equal_path_sets", "boundary_masks",
         "brute_codewords", "brute_errors", "build_code_trellis",
         "build_error_trellis", "check_gh_relation", "column_delay",
-        "compose_plans", "count_paths", "degree", "delay", "divide_by_power",
+        "compose_plans", "count_paths", "degree", "delay",
         "enumerate_paths", "exponents", "format_blocks", "format_matrix",
         "format_plan", "format_poly", "format_sequences", "full_row_rank",
         "make_type1_plan", "make_type2_plan", "mat_mul_transpose", "matrix",

@@ -611,3 +611,22 @@ def test_module_invocation(files):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "GH relation holds (n=3, G 1x3, H 2x3)"
+
+
+def test_closed_pipe_exits_1_without_traceback(files):
+    """A reader that stops after one line, as `| head -n 1` does, ends the
+    2^16-line listing of G = (1) with status 1 and a quiet stderr, though
+    the listing is far larger than a pipe buffer."""
+    g = files["tmp"] / "g1.txt"
+    g.write_text("1\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shifttrellis", "code-trellis", str(g),
+         "--n-blocks", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first
+    assert err == ""

@@ -1,7 +1,10 @@
 """count_paths against the earlier forward count, the listings and brute force.
 
 reference_count below is the per-branch forward count that enumerate_paths
-ran before it called count_paths, kept as the reference.  On random code
+ran before it called count_paths, kept as the reference.  count_paths
+runs that same algorithm, so the reference pins it against drift but is
+not an independent check; the closed form 2^(k (N - memory)) for the
+code trellis of any k-row G over N blocks is.  On random code
 and error trellises with masks (the generators of
 test_min_weight_property), on the hand-built trellises of
 test_decode_property, whose sections are lists, some empty, some repeated,
@@ -117,6 +120,16 @@ def test_code_trellis_count_matches_reference(data):
     else:
         check(trellis)
         assert count_paths(trellis) >= len(words)
+
+
+@SETTINGS
+@given(matrices(), st.integers(0, 40))
+def test_code_trellis_counts_every_input_sequence(G, extra):
+    """Every row's input is free for N - memory(G) sections, and distinct
+    inputs take distinct branches, so the code trellis of any G, of any
+    rank and with zero entries, has 2^(k (N - memory(G))) paths."""
+    N = memory(G) + extra
+    assert count_paths(build_code_trellis(G, N)) == 2 ** (G.rows * extra)
 
 
 @SETTINGS

@@ -8,7 +8,6 @@ from shifttrellis import (
     column_delay,
     degree,
     delay,
-    divide_by_power,
     exponents,
     format_matrix,
     format_poly,
@@ -126,21 +125,7 @@ def test_delay_of_product_adds():
 
 
 def test_power_scaling():
-    p = parse_poly("D^3+D^4")
-    assert divide_by_power(p, 2) == parse_poly("D+D^2")
-    assert divide_by_power(p, 3) == parse_poly("1+D")
-    assert divide_by_power(0, 5) == 0
     assert parse_poly("1+D") << 2 == parse_poly("D^2+D^3")
-    with pytest.raises(ValueError, match="not divisible"):
-        divide_by_power(p, 4)
-
-
-def test_power_scaling_round_trip():
-    rng = random.Random(19)
-    for _ in range(100):
-        p = rand_poly(rng)
-        k = rng.randrange(6)
-        assert divide_by_power(p << k, k) == p
 
 
 def test_matrix_parse_format():
