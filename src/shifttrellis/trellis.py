@@ -17,12 +17,23 @@ ones of masks, a horizon x n BlockSequence packed as paths are.  Apart from
 the masks, the flush and (on the error side) the syndrome block, every
 section is the same, so each builder names a section by that key, read
 from one text of each sequence.  A section is fixed by its key and the set
-of states it starts from, and its pruned form by that and the set of
-states still alive after it, so _sweep builds each (key, frontier) and a
-Trellis prunes each (section, alive set) once, and every section equal to
-one built earlier is that same tuple object.  Both builders refuse, before
-any work, a trellis whose states x sections x branches per state exceed
-MAX_TRELLIS_WORK.
+of states it starts from, and its pruned form by that and the sets of
+states reached before it and still alive after it.  Both builders refuse,
+before any work, a trellis whose states x sections x branches per state
+exceed MAX_TRELLIS_WORK.
+
+Past the keys, all that a build or a decode computes depends on the code
+alone, so each code, a builder side and its matrix, has one _Memo that
+outlives the call: the step table, step(s, 0) per state, the per-(key,
+state) rows, the (key, frontier) sections, their pruned forms and
+min_weight_path's layout of each (section, successor) pair.  An entry is
+kept past its call only once the call reused it, each kind holds at most
+_ENTRIES, and only the _CODES codes built last keep their memo.  So a
+stream of frames under one H builds, prunes and lays out its recurring
+sections once, as the same tuple objects from frame to frame, and each
+frame's own head and tail anew.  Entries keyed by id() hold the objects
+whose ids they use, so no id is reused while its entry lives.  A Trellis
+made without a code, as hand-built ones are, gets a new memo on each call.
 
 Each path question has a pass of its own.  count_paths counts forward,
 branch by branch, holding one dict of counts per time index.
@@ -33,7 +44,7 @@ from-states of the section leaving it, then a forward tie walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -54,6 +65,9 @@ MAX_TRELLIS_WORK = 1 << 24
 MAX_PATHS = 1 << 16
 # Cost of a state with no way to state 0 at the end.
 _INF = float("inf")
+# Most codes that keep a _Memo, and most entries of each kind in one.
+_CODES = 8
+_ENTRIES = 1024
 
 
 class Branch(NamedTuple):
@@ -68,16 +82,47 @@ class Trellis:
     horizon: int
     state_bits: int
     sections: tuple
+    # The builders pass their code, whose _Memo then prunes and decodes
+    # this trellis; it is no field, so equality and repr ignore it.
+    _code: InitVar = None
 
-    def __post_init__(self):
+    def __post_init__(self, _code):
         if len(self.sections) != self.horizon:
             raise ValueError(
                 f"{len(self.sections)} sections for horizon {self.horizon}")
-        object.__setattr__(self, "sections", _prune(self.sections))
+        object.__setattr__(self, "_code", _code)
+        object.__setattr__(self, "sections", _prune(
+            self.sections, _MEMOS.get(_code) or _Memo()))
 
     @property
     def state_count(self) -> int:
         return 1 << self.state_bits
+
+
+class _Memo:
+    """One code's tables, kept across calls: step(0, x) for every input
+    block x, step(s, 0) per state s, and the rows, sections, pruned forms
+    and layouts (dicts by key, each filled through _recall)."""
+
+    def __init__(self):
+        self.table, self.drifts = [], {}
+        self.rows, self.built, self.pruned, self.layouts = {}, {}, {}, {}
+
+
+_MEMOS = {}  # code -> _Memo, the least recently built first
+
+
+def _recall(kept, fresh, key):
+    """kept[key]; else fresh[key], the call's own entry, moved to kept (at
+    most _ENTRIES of them) as the call reuses it; else None."""
+    hit = kept.get(key)
+    if hit is None:
+        hit = fresh.get(key)
+        if hit is not None:
+            if len(kept) >= _ENTRIES:
+                kept.clear()
+            kept[key] = hit
+    return hit
 
 
 def _row_layout(M: PolyMatrix):
@@ -106,34 +151,41 @@ def _forced(masks, horizon, n, flush=0):
     return (0 if masks is None else masks.bits) | (1 << max(flush, 0) * n) - 1
 
 
-def _sweep(horizon, n, state_bits, in_bits, keys, step, branches):
-    """Forward-build sections from state 0 and make them a Trellis, which
-    drops every branch that is not on some path ending in state 0.
+def _sweep(code, horizon, n, state_bits, in_bits, keys, step, branches):
+    """Forward-build sections from state 0 and make them a Trellis of code,
+    which drops every branch that is on no path from state 0 to state 0.
 
     step(state, x) gives (next state, output) for an input block x of
     in_bits bits and is linear over GF(2): step(s, x) = step(s, 0) ^
     step(0, x) in both fields.  So step(0, x) is tabled for every x on the
-    first section built, after the size check, step(s, 0) is taken once per
-    state, and branches(key, step(s, 0), table) yields state s's (next
-    state, label) pairs in a section named key, the next of the iterable
-    keys.  Each (key, state) is expanded once and each (key, frontier)
-    built once, so equal sections share one tuple.
+    code's first section built, after the size check, step(s, 0) is taken
+    once per state and code, and branches(key, step(s, 0), table) yields
+    state s's (next state, label) pairs in a section named key, the next of
+    the iterable keys.  Each (key, state) is expanded once and each (key,
+    frontier) built once per code, across builds, so equal sections of
+    this and earlier trellises of the code share one tuple.
     """
     if horizon << state_bits + in_bits > MAX_TRELLIS_WORK:
         raise ValueError(
             f"trellis too large: 2^{state_bits} states x {horizon} sections "
             f"x 2^{in_bits} branches exceeds {MAX_TRELLIS_WORK}")
+    # code's memo, made the most recent; the least recent beyond _CODES go
+    memo = _MEMOS[code] = _MEMOS.pop(code, None) or _Memo()
+    if len(_MEMOS) > _CODES:
+        _MEMOS.pop(next(iter(_MEMOS)), None)
+    drifts, rows, built = memo.drifts, {}, {}
     # States run in increasing order and each row is sorted, so every
     # section comes out sorted by (from state, to state, label).
-    rows, built, drifts, table, sections = {}, {}, {}, [], []
+    sections = []
     frontier = frozenset((0,))
     for key in keys:
-        hit = built.get((key, frontier))
+        hit = _recall(memo.built, built, (key, frontier))
         if hit is None:
-            table = table or [step(0, x) for x in range(1 << in_bits)]
+            table = memo.table = memo.table or [
+                step(0, x) for x in range(1 << in_bits)]
             sec = []
             for s in sorted(frontier):
-                row = rows.get((key, s))
+                row = _recall(memo.rows, rows, (key, s))
                 if row is None:
                     if s not in drifts:
                         drifts[s] = step(s, 0)
@@ -145,22 +197,27 @@ def _sweep(horizon, n, state_bits, in_bits, keys, step, branches):
                 tuple(sec), frozenset([b.to_state for b in sec]))
         sec, frontier = hit
         sections.append(sec)
-    return Trellis(n, horizon, state_bits, sections)
+    return Trellis(n, horizon, state_bits, sections, code)
 
 
-def _prune(sections):
-    """The sections without every branch that is on no path ending in state
-    0, as a tuple; each (section, alive set) is pruned once, keyed by the
-    section's id, so the caller must keep every given section referenced."""
+def _prune(sections, memo):
+    """The sections without every branch that is on no path from state 0
+    at the start to state 0 at the end, as a tuple: a backward pass keeps
+    the branches into states still alive, then a forward pass those from
+    states reached.  Each (section, alive or reached set) is pruned once in
+    memo's pruned dict, keyed by the section's id and held by its entry."""
     sections, pruned = list(sections), {}
-    alive = frozenset((0,))
-    for t in range(len(sections) - 1, -1, -1):
-        hit = pruned.get((id(sections[t]), alive))
-        if hit is None:
-            kept = tuple([b for b in sections[t] if b[1] in alive])
-            hit = pruned[id(sections[t]), alive] = (
-                kept, frozenset([b[0] for b in kept]))
-        sections[t], alive = hit
+    for end, order in ((1, -1), (0, 1)):
+        live = frozenset((0,))
+        for t in range(len(sections))[::order]:
+            sec = sections[t]
+            key = id(sec), end, live
+            hit = _recall(memo.pruned, pruned, key)
+            if hit is None:
+                kept = tuple([b for b in sec if b[end] in live])
+                hit = pruned[key] = (
+                    sec, kept, frozenset([b[1 - end] for b in kept]))
+            _, sections[t], live = hit
     return tuple(sections)
 
 
@@ -198,7 +255,7 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
             if not (label ^ out0) & forced:
                 yield drift ^ ns, label ^ out0
 
-    return _sweep(horizon, n, overall_constraint_length(G), k,
+    return _sweep(("code", G), horizon, n, overall_constraint_length(G), k,
                   keys, step, branches)
 
 
@@ -244,7 +301,7 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
         return [(drift ^ ns, e) for e, (ns, out) in enumerate(table)
                 if out ^ out0 == want and not e & forced]
 
-    return _sweep(horizon, n, overall_constraint_length(H), n,
+    return _sweep(("error", H), horizon, n, overall_constraint_length(H), n,
                   zip(block_values(syndrome.bits, m, horizon),
                       block_values(forced, n, horizon)), step, branches)
 
@@ -292,15 +349,16 @@ def min_weight_path(trellis: Trellis):
     # leaving it and the least weights to go, both by position, the costs
     # with a dead slot last.  pos numbers the states the section starts
     # from ({0: 0} at the end).  Each (section, successor) pair is laid out
-    # once.
-    layouts, succ = {}, None
-    pos, costs = {0: 0}, [0, _INF]
+    # once per code, or per call on a hand-built trellis.
+    memo, layouts = _MEMOS.get(trellis._code) or _Memo(), {}
+    succ, pos, costs = None, {0: 0}, [0, _INF]
     passes = [(None, costs)]
     for sec in reversed(trellis.sections):
         key = id(sec), id(succ)
-        if key not in layouts:
-            layouts[key] = _layout(sec, pos)
-        pos, get, ws, width, moves = layouts[key]
+        hit = _recall(memo.layouts, layouts, key)
+        if hit is None:
+            hit = layouts[key] = (sec, succ, *_layout(sec, pos))
+        _, _, pos, get, ws, width, moves = hit
         ends = list(map(add, get(costs), ws))
         folded = ends[::width]
         for k in range(1, width):

@@ -22,7 +22,10 @@ branch counts, and on the hand-picked CORNER_CASES: one section object
 before two different successors, a section 1 that does not start from
 state 0 (or starts from it second), an empty middle section and a
 branch into a dead end.  count_paths must say whether a path exists
-on each.
+on each.  Each code keeps its tables across calls, so builds and
+decodes are also checked with trellises of several codes made and
+dropped in a drawn order among hand-built ones; and a pruned hand-built
+trellis must keep exactly the branches that lie on a path.
 """
 
 import itertools
@@ -31,7 +34,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifttrellis import (
@@ -87,10 +90,11 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
     return Trellis(n, horizon, state_bits, tuple(sections))
 
 
-def stepping_sweep(horizon, n, state_bits, in_bits, keys, step,
+def stepping_sweep(code, horizon, n, state_bits, in_bits, keys, step,
                    branches):
     """_sweep's signature over reference_sweep, stepping every (state,
-    input) pair itself instead of relying on the machine's linearity."""
+    input) pair itself instead of relying on the machine's linearity, and
+    keeping nothing of code's across calls."""
     keys = iter(keys)
     return reference_sweep(
         horizon, n, state_bits, in_bits, lambda t: next(keys),
@@ -330,6 +334,19 @@ def test_hand_built_trellis_decodes_like_reference(t):
     check_decode(t)
 
 
+@SETTINGS
+@given(hand_built())
+def test_pruned_trellis_keeps_exactly_the_branches_on_paths(t):
+    """Every kept branch lies on a path from state 0 to state 0, so a
+    trellis has a path iff no section is empty."""
+    assert all(t.sections) == (count_paths(t) > 0)
+    for k, sec in enumerate(t.sections):
+        for b in sec:
+            through = t.sections[:k] + ((b,),) + t.sections[k + 1:]
+            assert count_paths(Trellis(t.n, t.horizon, t.state_bits,
+                                       through)) > 0
+
+
 # One section object before two different successors: A starts from
 # states 1 then 0, B from state 0 alone, so X's to-states land on other
 # positions after each.
@@ -387,6 +404,35 @@ def test_hand_built_corner_cases():
     # no sections at all: the empty sequence, weight 0
     assert min_weight_path(Trellis(2, 0, 0, ())) == (
         BlockSequence(2, 0, 0), 0)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.data())
+def test_kept_tables_decode_like_reference_across_codes(data):
+    """Trellises of three codes, both builder sides, made and dropped in a
+    drawn order between hand-built ones, so the per-code memos serve
+    several codes at once and the ids of dropped sections recur in new
+    ones: every built trellis must still equal the references' (see
+    check_build) and every decode the reference's."""
+    codes = [data.draw(matrices()) for _ in range(3)]
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(("error", "code", "hand", "shared")))
+        M = data.draw(st.sampled_from(codes))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "error":
+            zeta = random_feasible_syndrome(
+                M, rng.randrange(MAX_HORIZON - memory(M)), rng)
+            check_build(build_error_trellis, reference_error_trellis, M, zeta)
+        elif kind == "code":
+            horizon = memory(M) + rng.randrange(MAX_HORIZON - memory(M))
+            check_build(build_code_trellis, reference_code_trellis, M,
+                        horizon, masks=masks(data.draw, horizon, M.cols))
+        elif kind == "hand":
+            check_decode(data.draw(hand_built()))
+        else:
+            # fresh lists each time, one of them before two successors
+            x = list(_X)
+            check_decode(Trellis(1, 4, 1, (x, list(_A), x, list(_B))))
 
 
 @SETTINGS

@@ -28,6 +28,7 @@ from shifttrellis import (
     parse_plan,
     poly_mul,
 )
+from shifttrellis import trellis
 from shifttrellis.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -129,6 +130,16 @@ def test_cli_output_matches_golden(tmp_path, fixture, command, fmt):
     rc, out = run_case(tmp_path, fixture, command, fmt)
     assert rc == STATUS.get((fixture, command), 0)
     assert out == golden_path(fixture, command, fmt).read_bytes()
+
+
+def test_decodes_repeat_in_one_process(tmp_path):
+    """Every decode case twice in one process, in reverse order the second
+    time: what each code keeps across calls changes no byte of any."""
+    trellis._MEMOS.clear()
+    cases = [case for case in CASES if case[1] == "decode"]
+    for case in cases + cases[::-1]:
+        assert run_case(tmp_path, *case) == (
+            0, golden_path(*case).read_bytes())
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -246,11 +247,28 @@ def test_trellis_is_pruned_when_made(monkeypatch):
     shared = Trellis(1, 2, 1, (sec, sec))
     assert shared.sections[0] is shared.sections[1]
 
-    def no_prune(_):
+    def no_prune(_, __):
         raise AssertionError("_prune called")
 
     monkeypatch.setattr(trellis, "_prune", no_prune)
     assert enumerate_paths(t) == [blocks("0 1 0"), blocks("0 1 1")]
+
+
+def test_trellis_drops_branches_no_path_from_the_start_reaches():
+    # README's example: state 1 at the start is reached by no path, so
+    # both branches go and the empty sections say there is no path
+    t = Trellis(1, 2, 1, ([Branch(1, 0, 0)], [Branch(0, 0, 0)]))
+    assert t.sections == ((), ())
+    assert not all(t.sections)
+    assert count_paths(t) == 0 and enumerate_paths(t) == []
+    # mid-trellis, a branch from an unreached state goes, the rest stays
+    t = Trellis(1, 3, 1, ([Branch(0, 0, 0)],
+                          [Branch(0, 0, 1), Branch(1, 0, 0)],
+                          [Branch(0, 0, 0)]))
+    assert t.sections == ((Branch(0, 0, 0),), (Branch(0, 0, 1),),
+                          (Branch(0, 0, 0),))
+    assert all(t.sections)
+    assert min_weight_path(t) == (blocks("0 1 0"), 1)
 
 
 def test_error_trellis_build_is_linear_in_the_syndrome_length():
@@ -394,17 +412,98 @@ def test_error_builder_expands_each_state_once_per_forced_set():
     """Both machines are linear, so step runs once per input block x, as
     step(0, x), and once per state s reached, as step(s, 0), whatever the
     syndrome block or forced columns: 4 + 64 calls on the K=7 error side
-    and 2 + 64 on its code side."""
-    t, calls = traced_steps(build_error_trellis, H_K7,
-                            k7_syndrome(200, random.Random(5)))
-    assert count_paths(t) > 0
-    assert calls == 4 + 64
-    t, calls = traced_steps(build_code_trellis,
-                            parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6"),
-                            200, parse_blocks("10" + " 00" * 98 + " 01"
-                                              + " 00" * 100))
-    assert count_paths(t) > 0
-    assert calls == 2 + 64
+    and 2 + 64 on its code side.  Both tables are kept per code, so a
+    later build of the same code, with another syndrome or other masks,
+    steps no more, and a build of the other code in between changes
+    neither count."""
+    G_K7 = parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6")
+    trellis._MEMOS.clear()
+    rng = random.Random(5)
+
+    def error_build():
+        return traced_steps(build_error_trellis, H_K7, k7_syndrome(200, rng))
+
+    def code_build(spot):
+        # forced zeros on output bit 2 of the first block and on output
+        # bit 1 of block `spot`, so each build's sections differ
+        mask = parse_blocks(" ".join(
+            "01" if b == 0 else "10" if b == spot else "00"
+            for b in range(200)))
+        return traced_steps(build_code_trellis, G_K7, 200, mask)
+
+    for build, first in ((error_build, 4 + 64),
+                         (lambda: code_build(99), 2 + 64)):
+        t, calls = build()
+        assert count_paths(t) > 0
+        assert calls == first
+    for build in (error_build, lambda: code_build(150), error_build):
+        t, calls = build()
+        assert count_paths(t) > 0
+        assert calls == 0
+
+
+def test_kept_tables_stay_bounded(monkeypatch):
+    """Decoding more codes than _CODES keeps the memos of the last _CODES
+    built, and no kind of entry in one grows past _ENTRIES (patched small
+    here, so K=7 frames overflow it), while every decode stays exact."""
+    monkeypatch.setattr(trellis, "_ENTRIES", 8)
+    trellis._MEMOS.clear()
+    rng = random.Random(11)
+    codes = [parse_matrix(f"1+D+D^2,{c}")
+             for c in ("1", "D", "1+D", "1+D^2", "D+D^2", "1+D+D^2", "D^2",
+                       "1+D^3", "D+D^3", "D^2+D^3")] + [H_K7]
+    assert len(codes) > trellis._CODES
+    for H in codes:
+        for _ in range(3):
+            z = BlockSequence(2, 40, rng.getrandbits(80)).padded(
+                40 + memory(H))
+            t = build_error_trellis(H, syndrome(z, H))
+            # the same sections, decoded with a memo of their own
+            alone = Trellis(t.n, t.horizon, t.state_bits, t.sections)
+            assert min_weight_path(t) == min_weight_path(alone)
+    assert [code for _, code in trellis._MEMOS] == codes[-trellis._CODES:]
+    for memo in trellis._MEMOS.values():
+        for kept in (memo.rows, memo.built, memo.pruned, memo.layouts):
+            assert len(kept) <= 8
+    assert trellis._MEMOS["error", H_K7].layouts
+
+
+def test_kept_tables_shared_by_threads(monkeypatch):
+    """Six threads decode frames of three codes at once, switching often,
+    with room kept for two codes, so memos are filled, read and evicted
+    from several threads: each decode equals one made from empty memos."""
+    monkeypatch.setattr(trellis, "_CODES", 2)
+    codes = [H_K7, parse_matrix("1+D+D^2,1+D^2"), parse_matrix("1+D^3,1")]
+    rng = random.Random(13)
+    jobs = []
+    for i in range(24):
+        H = codes[i % 3]
+        z = BlockSequence(2, 30, rng.getrandbits(60)).padded(30 + memory(H))
+        trellis._MEMOS.clear()
+        zeta = syndrome(z, H)
+        jobs.append((H, zeta, min_weight_path(build_error_trellis(H, zeta))))
+    trellis._MEMOS.clear()
+    failures = []
+
+    def work(k):
+        try:
+            for H, zeta, want in jobs[k:] + jobs[:k]:
+                assert min_weight_path(build_error_trellis(H, zeta)) == want
+        except Exception as exc:  # reported by the main thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
 
 
 def test_wide_check_matrix_over_empty_syndrome():
