@@ -9,6 +9,7 @@ confirms the path sets.
 """
 
 from shifttrellis import (
+    BlockSequence,
     GHPair,
     assert_equal_path_sets,
     brute_errors,
@@ -39,9 +40,12 @@ for t in range(1, len(masks) + 1):
     if cols:
         print(f"  t={t}: {cols}")
 
+# verify lists paths as packed ints of z_shifted's shape
+error_paths = [BlockSequence(3, rep.window, e) for e in rep.error_paths]
+
 print()
 print("error paths and the code paths they reconstruct:")
-for e in rep.error_paths:
+for e in error_paths:
     print(f"  e' = {format_blocks(e)}   "
           f"z'+e' = {format_blocks(e ^ rep.z_shifted)}")
 
@@ -52,7 +56,7 @@ ref = brute_errors(pair.H, rep.shifted_syndrome, n_real=rep.window)
 hint = red.transformed_pair.H
 ref_reduced = brute_errors(hint, rep.shifted_syndrome,
                            n_real=rep.window, masks=rep.masks)
-assert_equal_path_sets(ref_reduced, rep.error_paths, "brute force vs trellis")
+assert_equal_path_sets(ref_reduced, error_paths, "brute force vs trellis")
 print(f"brute-force cross-check: {len(ref_reduced)} admissible sequences, "
       f"trellis agrees")
 print(f"(unreduced former sees {len(ref)} sequences over the same window)")

@@ -174,24 +174,17 @@ def _chunk_text(width: int, count: int):
     return table.__getitem__
 
 
-def format_sequences(seqs) -> list:
-    """The text of each sequence of a list of sequences of one shape.
+def _format_bits(width: int, length: int, bits) -> list:
+    """The text of each packed int of a list of length blocks of width bits.
 
-    The packed ints are cut into chunks of _CHUNK_BITS // width blocks (one
-    block if wider), the first chunk holding the remainder, and each chunk
-    column is read from its table by C-level maps over the whole list.
+    The ints are cut into chunks of _CHUNK_BITS // width blocks (one block
+    if wider), the first chunk holding the remainder, and each chunk column
+    is read from its table by C-level maps over the whole list.
     """
-    if len(set(map(_shape, seqs))) > 1:
-        for seq in seqs:
-            seqs[0].check_shape(seq)
-    if not seqs:
-        return []
-    width, length = _shape(seqs[0])
     if not width * length:
         # no bits to print: "" for no blocks, else length - 1 separators
-        return [" " * (length - 1)] * len(seqs)
+        return [" " * (length - 1)] * len(bits)
     step = max(_CHUNK_BITS // width, 1)
-    bits = list(map(_bits, seqs))
     head = length % step or step
     head_text, text = _chunk_text(width, head), _chunk_text(width, step)
     mask = (1 << step * width) - 1
@@ -204,6 +197,16 @@ def format_sequences(seqs) -> list:
     return list(map(" ".join, zip(*cols)))
 
 
+def format_sequences(seqs) -> list:
+    """The text of each sequence of a list of sequences of one shape."""
+    if len(set(map(_shape, seqs))) > 1:
+        for seq in seqs:
+            seqs[0].check_shape(seq)
+    if not seqs:
+        return []
+    return _format_bits(*_shape(seqs[0]), list(map(_bits, seqs)))
+
+
 def format_blocks(seq: BlockSequence) -> str:
     """The text form of seq, e.g. "001 000 011 010"."""
-    return format_sequences((seq,))[0]
+    return _format_bits(seq.block_width, seq.length, (seq.bits,))[0]

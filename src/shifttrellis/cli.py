@@ -27,7 +27,13 @@ import os
 import random
 import sys
 
-from .blocks import format_blocks, format_sequences, parse_blocks
+from .blocks import (
+    BlockSequence,
+    _format_bits,
+    format_blocks,
+    format_sequences,
+    parse_blocks,
+)
 from .gf2poly import (
     GHPair,
     format_matrix,
@@ -89,8 +95,36 @@ def _pair(g_path, h_path):
         raise _Fail(1, f"not a valid pair: {exc}") from None
 
 
+_quote = json.encoder.encode_basestring_ascii
+# The characters json writes as they are: printable ASCII but " and \.
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
+
+
+def _strings(texts):
+    """The texts as JSON strings, joined as the lines of a report's list;
+    when no text has a character to escape, each is written as it is."""
+    joined = "".join(texts)
+    if joined.isascii() and not joined.encode().translate(None, _PLAIN):
+        return '"' + '",\n    "'.join(texts) + '"'
+    return ",\n    ".join(map(_quote, texts))
+
+
 def _dump(obj):
-    return json.dumps(obj, indent=2)
+    """json.dumps(obj, indent=2), byte for byte.  A dict's lists of
+    strings, the path listings of a report, are written in bulk: indent=
+    sends every value through json's pure-Python encoder."""
+    if not (isinstance(obj, dict) and set(map(type, obj)) == {str}):
+        return json.dumps(obj, indent=2)
+    items = []
+    for key, value in obj.items():
+        if isinstance(value, list) and set(map(type, value)) == {str}:
+            text = "[\n    " + _strings(value) + "\n  ]"
+        else:
+            # json escapes every newline inside a string, so each "\n"
+            # of the text starts a line
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"{_quote(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def _mat_json(M):
@@ -208,9 +242,9 @@ def _check_n_blocks(args, given, exact):
 
 
 def _trellis_report(t, fmt, paths, extra=()):
-    """Trellis t's state counts and its listed paths as JSON or as text,
-    with the extra lines after the state count."""
-    paths = format_sequences(paths)
+    """Trellis t's state counts and its listed paths, packed ints, as JSON
+    or as text, with the extra lines after the state count."""
+    paths = _format_bits(t.n, t.horizon, paths)
     if fmt == "json":
         return _dump({"stateBits": t.state_bits, "states": t.state_count,
                       "horizon": t.horizon, "feasible": bool(paths),
@@ -223,7 +257,7 @@ def cmd_code_trellis(args):
     t = build_code_trellis(_load(parse_matrix, args.g), args.n_blocks)
     if args.format == "dot":
         return trellis_dot(t), 0
-    return _trellis_report(t, args.format, enumerate_paths(t)), 0
+    return _trellis_report(t, args.format, enumerate_paths(t, packed=True)), 0
 
 
 def cmd_error_trellis(args):
@@ -234,7 +268,7 @@ def cmd_error_trellis(args):
     if args.format == "dot":
         # a built trellis is pruned: it has a path iff no section is empty
         return trellis_dot(t), 0 if all(t.sections) else 1
-    paths = enumerate_paths(t)
+    paths = enumerate_paths(t, packed=True)
     flag = "feasible: yes" if paths else "feasible: no (infeasible syndrome)"
     return _trellis_report(t, args.format, paths, [flag]), 0 if paths else 1
 
@@ -267,11 +301,12 @@ def cmd_verify(args):
     z = _load(parse_blocks, args.z, pair.n)
     n_real = _check_n_blocks(args, len(z), exact=False)
     rep = verify_simultaneous_reduction(pair, plan, z, n_real)
-    errors, codes, mismatch = map(format_sequences, (
+    shape = rep.z_shifted.block_width, rep.window
+    errors, codes, mismatch = (_format_bits(*shape, paths) for paths in (
         rep.error_paths, rep.code_paths, rep.mismatch))
     # On PASS the xor side is the set of code paths, distinct and sorted.
-    recon = codes if rep.passed else format_sequences(
-        reconstruct_code_paths(rep.z_shifted, rep.error_paths))
+    recon = codes if rep.passed else format_sequences(reconstruct_code_paths(
+        rep.z_shifted, [BlockSequence(*shape, e) for e in rep.error_paths]))
     red = rep.reduction
     code_states = 1 << red.nu_before, 1 << red.nu_after
     error_states = 1 << red.nu_before_dual, 1 << red.nu_after_dual

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import xor
 
-from .blocks import BlockSequence, _bits, columns, from_columns
+from .blocks import BlockSequence, columns, from_columns
 from .gf2poly import (
     GHPair,
     PolyMatrix,
@@ -107,7 +107,12 @@ def reconstruct_code_paths(z_shifted: BlockSequence, error_paths):
 @dataclass(frozen=True)
 class VerifyReport:
     """What verify_simultaneous_reduction computed; each trellis's nominal
-    state count is 2^nu of reduction."""
+    state count is 2^nu of reduction.
+
+    code_paths, error_paths and mismatch are sorted tuples of packed ints
+    in z_shifted's shape, window blocks of n bits (see blocks.py):
+    BlockSequence(z_shifted.block_width, window, p) is the sequence of one.
+    """
 
     reduction: ReductionReport
     n_real: int
@@ -145,9 +150,9 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     both flushes after them (see _spill).  It passes when the reduced
     code-trellis paths coincide, as a set, with the shifted received data
     xor each reduced error-trellis path; that equality is exactly the
-    path-level statement of simultaneous reduction.  On failure the report
-    carries the symmetric difference; reconstruct_code_paths lists the
-    xor side.
+    path-level statement of simultaneous reduction.  Both path lists and,
+    on failure, their symmetric difference are reported as sorted packed
+    ints (see VerifyReport); reconstruct_code_paths lists the xor side.
     """
     if z.block_width != pair.n:
         raise ValueError(f"received width {z.block_width}, expected {pair.n}")
@@ -171,14 +176,13 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
     zeta = syndrome(z_sh, h_fin)
     masks = boundary_masks(plan, n_real, horizon=window)
 
-    err_paths = enumerate_paths(
-        build_error_trellis(h_fin, zeta, n_real=window, masks=masks))
-    code_paths = tuple(enumerate_paths(
-        build_code_trellis(g_fin, window, masks=masks)))
-
     # Both lists have the window x n shape of z_sh, so their ints compare.
-    c_set = set(map(_bits, code_paths))
-    y_set = set(map(xor, map(_bits, err_paths), repeat(z_sh.bits)))
+    err_paths = tuple(enumerate_paths(build_error_trellis(
+        h_fin, zeta, n_real=window, masks=masks), packed=True))
+    code_paths = tuple(enumerate_paths(
+        build_code_trellis(g_fin, window, masks=masks), packed=True))
+    c_set = set(code_paths)
+    y_set = set(map(xor, err_paths, repeat(z_sh.bits)))
     return VerifyReport(
         reduction=red,
         n_real=n_real,
@@ -188,7 +192,6 @@ def verify_simultaneous_reduction(pair: GHPair, plan: ShiftPlan,
         shifted_syndrome=zeta,
         masks=masks,
         code_paths=code_paths,
-        error_paths=tuple(err_paths),
+        error_paths=err_paths,
         passed=c_set == y_set,
-        mismatch=tuple(BlockSequence(z_sh.block_width, window, bits)
-                       for bits in sorted(c_set ^ y_set)))
+        mismatch=tuple(sorted(c_set ^ y_set)))

@@ -306,8 +306,10 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
                       block_values(forced, n, horizon)), step, branches)
 
 
-def enumerate_paths(trellis: Trellis):
-    """Every initial-to-final label sequence, sorted lexicographically.
+def enumerate_paths(trellis: Trellis, packed=False):
+    """Every initial-to-final label sequence, sorted lexicographically: as
+    BlockSequences of horizon blocks of n bits, or with packed=True as
+    their packed ints (see blocks.py), whose order is the same.
 
     The walk runs on the pruned sections, so every prefix held ends in a
     path of its own and no layer outgrows the path count.  A layer of more
@@ -329,8 +331,10 @@ def enumerate_paths(trellis: Trellis):
             if prefs:
                 nxt.setdefault(ns, []).extend([p << n | label for p in prefs])
         paths = nxt
-    return [BlockSequence(n, trellis.horizon, p)
-            for p in sorted(paths.get(0, []))]
+    paths = sorted(paths.get(0, []))
+    if packed:
+        return paths
+    return [BlockSequence(n, trellis.horizon, p) for p in paths]
 
 
 def min_weight_path(trellis: Trellis):

@@ -111,10 +111,10 @@ def test_criterion_4_end_to_end_verify():
     assert rep.shifted_syndrome == ZETA_MAIN
     assert syndrome(rep.z_padded, MAIN_PAIR.H) == ZETA_MAIN
     assert rep.z_shifted == Z_MAIN_SHIFTED
-    assert rep.error_paths == E_MAIN_RED
-    assert tuple(reconstruct_code_paths(rep.z_shifted, rep.error_paths)) \
+    assert rep.error_paths == tuple(e.bits for e in E_MAIN_RED)
+    assert tuple(reconstruct_code_paths(rep.z_shifted, E_MAIN_RED)) \
         == Y_MAIN_RED
-    assert rep.code_paths == Y_MAIN_RED
+    assert rep.code_paths == tuple(y.bits for y in Y_MAIN_RED)
     assert rep.passed
     red = rep.reduction
     assert (1 << red.nu_before, 1 << red.nu_after) == (4, 2)

@@ -1,14 +1,20 @@
-"""Every argument vector the parser accepts ends in exit 0, 1 or 2.
+"""Every argument vector the parser accepts ends in exit 0, 1 or 2, and
+every JSON report is written as json.dumps(report, indent=2) writes it.
 
 Input files are drawn from the worked pairs of tests/pairs.py and their
 plans, random small matrices, block sequences and plans, and malformed
 text; counts are small bounded integers, and --out sometimes points into
 a directory that does not exist.  main must return 0, 1 or 2 without
 raising, and stderr must be empty or a single "error: ..." line.
+
+The report writer cli._dump, which writes lists of strings in bulk, must
+give json.dumps's bytes on report-shaped dicts of every JSON value and on
+every golden JSON report.
 """
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -17,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifttrellis import compose_plans, format_matrix, format_plan
-from shifttrellis.cli import main
+from shifttrellis.cli import _dump, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -135,3 +141,44 @@ def test_every_invocation_ends_in_an_exit_code(call):
     assert rc in (0, 1, 2)
     assert err == "" or (err.startswith("error: ") and err.endswith("\n")
                          and err.count("\n") == 1), err
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters, and
+# path texts, which json writes as they are, now and then with one more
+# character.
+STRINGS = (st.text(st.sampled_from('ab01 "\\/\n\t\x00\x1f\x7f\u00e9\u2028'
+                                   '\U0001f600'), max_size=6)
+           | st.text(st.characters(max_codepoint=0x80), max_size=4)
+           | st.text(max_size=4))
+PATHS = st.text(st.sampled_from("01 ") | st.characters(max_codepoint=0x80),
+                max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers(-10**20, 10**20) | STRINGS
+VALUES = st.recursive(
+    SCALARS | st.lists(STRINGS) | st.lists(PATHS) | st.lists(st.integers()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=12)
+
+
+@SETTINGS
+@given(st.dictionaries(STRINGS, st.lists(PATHS, min_size=1) | VALUES,
+                       max_size=6))
+def test_dump_writes_what_json_dumps_writes(report):
+    assert _dump(report) == json.dumps(report, indent=2)
+
+
+def test_dump_escapes_each_character_as_json_does():
+    # one character among path texts, for every ASCII character and beyond
+    for c in [*map(chr, range(0x81)), "\u00e9", "\u2028", "\ud800",
+              "\U0001f600"]:
+        report = {"paths": ["01 10", f"1{c}0", "00 11"], c: [c]}
+        assert _dump(report) == json.dumps(report, indent=2), repr(c)
+
+
+def test_dump_writes_every_golden_report():
+    folder = Path(__file__).resolve().parent / "golden"
+    golden = sorted(folder.glob("*.json"))
+    assert golden
+    for path in golden:
+        text = path.read_text(encoding="ascii")
+        assert _dump(json.loads(text)) + "\n" == text, path.name

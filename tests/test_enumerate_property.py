@@ -6,9 +6,9 @@ result sorted by its blocks.  On random code and error trellises with masks (the
 of test_min_weight_property), on TIE_PAIR, whose code trellis has two
 branches with one label at every state, and on a code whose label
 sequences repeat, the packed enumeration must return the same list: same
-sequences, same multiplicity, same order.  A masked trellis must list
-exactly the paths of the unmasked one that have no one where the masks
-have one.
+sequences, same multiplicity, same order; with packed=True, their packed
+ints in that order.  A masked trellis must list exactly the paths of the
+unmasked one that have no one where the masks have one.
 """
 
 import random
@@ -47,6 +47,7 @@ def check(trellis):
                      for p in reference_paths(trellis)]
     assert all((p.block_width, len(p)) == (trellis.n, trellis.horizon)
                for p in found)
+    assert enumerate_paths(trellis, packed=True) == [p.bits for p in found]
 
 
 @SETTINGS

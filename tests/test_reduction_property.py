@@ -25,9 +25,12 @@ from shifttrellis import (
     ShiftPlan,
     brute_codewords,
     brute_errors,
+    build_code_trellis,
+    build_error_trellis,
     column_delay,
     compose_plans,
     delay,
+    enumerate_paths,
     make_type1_plan,
     make_type2_plan,
     memory,
@@ -100,7 +103,7 @@ def reduction_plans(draw, pair, bound=2):
 
 
 def unmasked(paths, masks):
-    return {p for p in paths if not p.bits & masks.bits}
+    return {p.bits for p in paths if not p.bits & masks.bits}
 
 
 def verify_case(data, whole_code):
@@ -127,12 +130,12 @@ def test_random_reductions_verify_and_match_the_oracle(data):
     window = rep.window
     assume(window <= MAX_HORIZON)
     assume(g_fin.rows * (window - memory(g_fin)) <= MAX_INFO_BITS)
-    assert set(rep.error_paths) == set(brute_errors(
-        h_fin, rep.shifted_syndrome, n_real=window, masks=rep.masks))
+    assert set(rep.error_paths) == {e.bits for e in brute_errors(
+        h_fin, rep.shifted_syndrome, n_real=window, masks=rep.masks)}
     assert set(rep.code_paths) == unmasked(brute_codewords(g_fin, window),
                                            rep.masks)
     if n_real >= memory(pair.G):
-        shifted = {shift_received(c.padded(window), plan, n_real)
+        shifted = {shift_received(c.padded(window), plan, n_real).bits
                    for c in brute_codewords(pair.G, n_real)}
         assert shifted <= set(rep.code_paths)
 
@@ -142,9 +145,20 @@ def test_random_reductions_verify_and_match_the_oracle(data):
 def test_verify_compares_distinct_code_paths_with_z_xor_error_paths(data):
     # without the whole-code filter some reductions fail verify
     rep = verify_simultaneous_reduction(*verify_case(data, whole_code=False))
+    g_fin, h_fin = rep.reduction.transformed_pair.G, rep.reduction.transformed_pair.H
+    # the listings are strictly increasing packed ints, those of the
+    # public listing of the same two trellises
+    for listed, trellis in (
+            (rep.error_paths, build_error_trellis(
+                h_fin, rep.shifted_syndrome, n_real=rep.window,
+                masks=rep.masks)),
+            (rep.code_paths, build_code_trellis(g_fin, rep.window,
+                                                masks=rep.masks))):
+        assert (all(map(int.__lt__, listed, listed[1:]))
+                and list(listed) == [p.bits for p in enumerate_paths(trellis)])
     codes = set(rep.code_paths)
     assert len(codes) == len(rep.code_paths)
-    xored = {rep.z_shifted ^ e for e in rep.error_paths}
+    xored = {rep.z_shifted.bits ^ e for e in rep.error_paths}
     assert rep.passed == (codes == xored)
     assert rep.mismatch == tuple(sorted(codes ^ xored))
 

@@ -162,8 +162,9 @@ def test_verify_main_pair():
     assert rep.z_shifted == Z_MAIN_SHIFTED
     assert rep.shifted_syndrome == ZETA_MAIN
     assert rep.masks == MAIN_MASKS
-    assert rep.error_paths == E_MAIN_RED
-    assert rep.code_paths == Y_MAIN_RED
+    # the listings are the packed ints of the paths
+    assert rep.error_paths == tuple(e.bits for e in E_MAIN_RED)
+    assert rep.code_paths == tuple(y.bits for y in Y_MAIN_RED)
     red = rep.reduction
     assert (red.nu_before, red.nu_after) == (2, 1)
     assert (red.nu_before_dual, red.nu_after_dual) == (2, 1)
@@ -178,11 +179,12 @@ def test_verify_fail_rebuilds_the_reconstruction():
     assert not rep.passed
     assert len(rep.code_paths) == 8
     # z' is zero, so the reconstruction is the 16 error paths themselves
-    recon = reconstruct_code_paths(rep.z_shifted, rep.error_paths)
+    recon = reconstruct_code_paths(rep.z_shifted, [
+        BlockSequence(4, rep.window, e) for e in rep.error_paths])
     assert len(recon) == 16
-    assert tuple(recon) == rep.error_paths
+    assert tuple(y.bits for y in recon) == rep.error_paths
     assert rep.mismatch == tuple(
-        blocks(f"{a} {b} 0000 0000") for a in ("1001", "1011")
+        blocks(f"{a} {b} 0000 0000").bits for a in ("1001", "1011")
         for b in ("0000", "0010", "1001", "1011"))
 
 
@@ -242,7 +244,7 @@ def test_verify_code_trellis_respects_masks():
     rep = verify_simultaneous_reduction(MAIN_PAIR, MAIN_PLAN, Z_MAIN, 4)
     assert rep.masks.weight == 3
     for y in rep.code_paths:
-        assert not y.bits & rep.masks.bits
+        assert not y & rep.masks.bits
 
 
 def test_verify_window_drains_the_shifted_syndrome():
@@ -256,7 +258,7 @@ def test_verify_window_drains_the_shifted_syndrome():
     rep = verify_simultaneous_reduction(pair, plan, parse_blocks("100"), 1)
     assert rep.window == 5
     assert rep.passed
-    assert rep.error_paths == (rep.z_shifted,)
+    assert rep.error_paths == (rep.z_shifted.bits,)
 
 
 def test_verify_window_keeps_every_input_free():
