@@ -1,11 +1,8 @@
 """Terminated trellises for encoders and syndrome formers.
 
-Both builders share one state convention so DOT output stays readable:
-the state int concatenates one register field per matrix row, row 1 in the
-lowest bits.  For the encoder (controller form) a row's field holds that
-row's past inputs, oldest in the lowest bit.  For the syndrome former
-(observer form of H^T) the field holds the partial-sum cells, first cell in
-the lowest bit.  Paths never depend on this packing, only node names do.
+Both builders walk one linear machine, G's encoder (controller form) or
+H's syndrome former (observer form; Forney, IEEE Trans. IT-16, 1970), whose
+state packing, shown only in DOT node names, _machine's docstring gives.
 
 A branch label is one n-bit block packed as in blocks.py, column 1 most
 significant, so labels sort and break ties as their printed blocks do, and
@@ -24,16 +21,17 @@ exceed MAX_TRELLIS_WORK.
 
 Past the keys, all that a build or a decode computes depends on the code
 alone, so each code, a builder side and its matrix, has one _Memo that
-outlives the call: the step table, step(s, 0) per state, the per-(key,
-state) rows, the (key, frontier) sections, their pruned forms and
-min_weight_path's layout of each (section, successor) pair.  An entry is
-kept past its call only once the call reused it, each kind holds at most
-_ENTRIES, and only the _CODES codes built last keep their memo.  So a
-stream of frames under one H builds, prunes and lays out its recurring
-sections once, as the same tuple objects from frame to frame, and each
-frame's own head and tail anew.  Entries keyed by id() hold the objects
-whose ids they use, so no id is reused while its entry lives.  A Trellis
-made without a code, as hand-built ones are, gets a new memo on each call.
+outlives the call: its machine's response tables, sized by the code, and
+dicts of the per-(key, state) rows, the (key, frontier) sections, their
+pruned forms and min_weight_path's layout of each (section, successor)
+pair.  An entry is kept past its call only once the call reused it, each
+dict holds at most _ENTRIES, and only the _CODES codes built last keep
+their memo.  So a stream of frames under one H builds, prunes and lays
+out its recurring sections once, as the same tuple objects from frame to
+frame, and each frame's own head and tail anew.  Entries keyed by id()
+hold the objects whose ids they use, so no id is reused while its entry
+lives.  A Trellis made without a code, as hand-built ones are, gets a
+new memo on each call.
 
 Each path question has a pass of its own.  count_paths counts forward,
 branch by branch, holding one dict of counts per time index.
@@ -100,12 +98,11 @@ class Trellis:
 
 
 class _Memo:
-    """One code's tables, kept across calls: step(0, x) for every input
-    block x, step(s, 0) per state s, and the rows, sections, pruned forms
-    and layouts (dicts by key, each filled through _recall)."""
+    """One code's kept tables: its machine's responses (None until _sweep
+    fills them) and dicts of rows, sections, pruned forms and layouts."""
 
     def __init__(self):
-        self.table, self.drifts = [], {}
+        self.tables = None
         self.rows, self.built, self.pruned, self.layouts = {}, {}, {}, {}
 
 
@@ -125,20 +122,43 @@ def _recall(kept, fresh, key):
     return hit
 
 
-def _row_layout(M: PolyMatrix):
-    """Per row: its register field's offset and width, and per delay d the
-    packed block of the columns whose entry has a D^d term."""
-    info = []
-    off = 0
+def _machine(M: PolyMatrix, observer: bool):
+    """Per state bit, then per input bit, the response of M's machine to a
+    one there alone: next_state << w | output, w = M.rows in the observer
+    form (H's syndrome former) and M.cols in the controller form (G's
+    encoder).  Row i's state bits are its register cells 0..nu-1, nu its
+    degree, row 1 lowest.  A step moves cell c > 0 to c - 1, and cell 0
+    leaves.  The encoder takes row i's input, block bit i - 1, into cell
+    nu, so the cells hold past inputs, oldest lowest, and its label, column
+    1 most significant, xors each cell c's D^(nu - c) taps.  The former adds
+    column j's error, block bit n - j, into cell d of each row with a D^d
+    term there, and emits each row's cell 0, row 1 most significant.
+    """
+    w = M.rows if observer else M.cols
+    states, inputs = [], [0] * (M.cols if observer else M.rows)
     for i in range(1, M.rows + 1):
-        nu = row_degree(M, i)
-        taps = [0] * (nu + 1)
+        nu, off = row_degree(M, i), len(states)
+        cells = [1 << off + c - 1 << w if c else 0 for c in range(nu + 1)]
+        if observer:
+            cells[0] = 1 << M.rows - i
         for j, e in enumerate(M.row(i), 1):
             for d in exponents(e):
-                taps[d] |= 1 << M.cols - j
-        info.append((off, nu, taps))
-        off += nu
-    return info
+                if observer:  # column j's error enters cell d
+                    inputs[M.cols - j] ^= cells[d]
+                else:  # cell nu - d emits on column j
+                    cells[nu - d] |= 1 << M.cols - j
+        if not observer:
+            inputs[i - 1] = cells[nu]
+        states += cells[:nu]
+    return states, inputs
+
+
+def _xors(units):
+    """The xor of each subset of units, at the index of its set bits."""
+    out = [0]
+    for u in units:
+        out += [v ^ u for v in out]
+    return out
 
 
 def _forced(masks, horizon, n, flush=0):
@@ -151,20 +171,23 @@ def _forced(masks, horizon, n, flush=0):
     return (0 if masks is None else masks.bits) | (1 << max(flush, 0) * n) - 1
 
 
-def _sweep(code, horizon, n, state_bits, in_bits, keys, step, branches):
+def _sweep(code, horizon, keys, branches):
     """Forward-build sections from state 0 and make them a Trellis of code,
-    which drops every branch that is on no path from state 0 to state 0.
+    a builder side and its matrix M, which drops every branch on no path
+    from state 0 to state 0.
 
-    step(state, x) gives (next state, output) for an input block x of
-    in_bits bits and is linear over GF(2): step(s, x) = step(s, 0) ^
-    step(0, x) in both fields.  So step(0, x) is tabled for every x on the
-    code's first section built, after the size check, step(s, 0) is taken
-    once per state and code, and branches(key, step(s, 0), table) yields
-    state s's (next state, label) pairs in a section named key, the next of
-    the iterable keys.  Each (key, state) is expanded once and each (key,
-    frontier) built once per code, across builds, so equal sections of
-    this and earlier trellises of the code share one tuple.
+    M's machine (see _machine) is linear over GF(2): on the code's first
+    section built, after the size check, _sweep tables the responses of
+    all input blocks and of all values of each 8-bit chunk of state bits.
+    branches(key, response of s, table) yields state s's (next state,
+    label) pairs in a section named key, the next of the iterable keys.
+    Each (key, state) is expanded once and each (key, frontier) built once
+    per code, across builds, so equal sections of this and earlier
+    trellises of the code share one tuple.
     """
+    side, M = code
+    state_bits = overall_constraint_length(M)
+    in_bits = M.cols if side == "error" else M.rows
     if horizon << state_bits + in_bits > MAX_TRELLIS_WORK:
         raise ValueError(
             f"trellis too large: 2^{state_bits} states x {horizon} sections "
@@ -173,7 +196,7 @@ def _sweep(code, horizon, n, state_bits, in_bits, keys, step, branches):
     memo = _MEMOS[code] = _MEMOS.pop(code, None) or _Memo()
     if len(_MEMOS) > _CODES:
         _MEMOS.pop(next(iter(_MEMOS)), None)
-    drifts, rows, built = memo.drifts, {}, {}
+    rows, built = {}, {}
     # States run in increasing order and each row is sorted, so every
     # section comes out sorted by (from state, to state, label).
     sections = []
@@ -181,23 +204,27 @@ def _sweep(code, horizon, n, state_bits, in_bits, keys, step, branches):
     for key in keys:
         hit = _recall(memo.built, built, (key, frontier))
         if hit is None:
-            table = memo.table = memo.table or [
-                step(0, x) for x in range(1 << in_bits)]
+            if memo.tables is None:
+                states, inputs = _machine(M, side == "error")
+                memo.tables = _xors(inputs), [
+                    _xors(states[b:b + 8]) for b in range(0, state_bits, 8)]
+            table, chunks = memo.tables
             sec = []
             for s in sorted(frontier):
                 row = _recall(memo.rows, rows, (key, s))
                 if row is None:
-                    if s not in drifts:
-                        drifts[s] = step(s, 0)
+                    base = 0
+                    for b, chunk in enumerate(chunks):
+                        base ^= chunk[s >> 8 * b & 255]
                     row = rows[key, s] = tuple(sorted(
                         Branch(s, ns, lbl)
-                        for ns, lbl in branches(key, drifts[s], table)))
+                        for ns, lbl in branches(key, base, table)))
                 sec.extend(row)
             hit = built[key, frontier] = (
                 tuple(sec), frozenset([b.to_state for b in sec]))
         sec, frontier = hit
         sections.append(sec)
-    return Trellis(n, horizon, state_bits, sections, code)
+    return Trellis(M.cols, horizon, state_bits, sections, code)
 
 
 def _prune(sections, memo):
@@ -232,31 +259,16 @@ def build_code_trellis(G: PolyMatrix, horizon: int, masks=None) -> Trellis:
     mem = memory(G)
     if horizon < mem:
         raise ValueError("horizon too short to terminate")
-    layout = _row_layout(G)
-    k, n = G.rows, G.cols
+    n = G.cols
     keys = zip(chain(repeat(True, horizon - mem), repeat(False, mem)),
                block_values(_forced(masks, horizon, n), n, horizon))
 
-    def step(state, inputs):
-        # Row i's register holds its input (bit i of inputs) above its
-        # field, so bit nu - d is the input d sections ago.
-        label = new_state = 0
-        for i, (off, nu, taps) in enumerate(layout):
-            reg = (inputs >> i & 1) << nu | state >> off & (1 << nu) - 1
-            for d, cols in enumerate(taps):
-                if reg >> nu - d & 1:
-                    label ^= cols
-            new_state |= reg >> 1 << off
-        return new_state, label
-
     def branches(key, base, table):
-        (free, forced), (drift, out0) = key, base
-        for ns, label in table if free else table[:1]:
-            if not (label ^ out0) & forced:
-                yield drift ^ ns, label ^ out0
+        free, forced = key
+        rs = [r ^ base for r in (table if free else table[:1])]
+        return [(r >> n, r & (1 << n) - 1) for r in rs if not r & forced]
 
-    return _sweep(("code", G), horizon, n, overall_constraint_length(G), k,
-                  keys, step, branches)
+    return _sweep(("code", G), horizon, keys, branches)
 
 
 def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
@@ -281,29 +293,16 @@ def build_error_trellis(H: PolyMatrix, syndrome: BlockSequence,
     if n_real < 0:
         raise ValueError(
             f"syndrome has {horizon} blocks, flush alone needs {mem}")
-    layout = _row_layout(H)
     forced = _forced(masks, horizon, n, horizon - n_real)
 
-    def step(state, e):
-        # Cell d of a row's register gains the parity of the errors on its
-        # D^d taps; cell 0 leaves as the row's syndrome bit, row 1 first.
-        out = new_state = 0
-        for off, nu, taps in layout:
-            reg = state >> off & (1 << nu) - 1
-            for d, cols in enumerate(taps):
-                reg ^= (bin(e & cols).count("1") & 1) << d
-            out = out << 1 | reg & 1
-            new_state |= reg >> 1 << off
-        return new_state, out
-
     def branches(key, base, table):
-        (want, forced), (drift, out0) = key, base
-        return [(drift ^ ns, e) for e, (ns, out) in enumerate(table)
-                if out ^ out0 == want and not e & forced]
+        want, forced = key
+        return [(r >> m, e) for e, r in enumerate([x ^ base for x in table])
+                if r & (1 << m) - 1 == want and not e & forced]
 
-    return _sweep(("error", H), horizon, n, overall_constraint_length(H), n,
+    return _sweep(("error", H), horizon,
                   zip(block_values(syndrome.bits, m, horizon),
-                      block_values(forced, n, horizon)), step, branches)
+                      block_values(forced, n, horizon)), branches)
 
 
 def enumerate_paths(trellis: Trellis, packed=False):

@@ -10,22 +10,24 @@ reference_min_weight_path relaxes every branch of every section in
 Python, and reference_syndrome reads the received word one bit at a time.
 Both builders must give the same trellis with the shared-section sweep,
 with stepping_sweep patched in (reference_sweep stepping every (state,
-input) pair, so the equality also tests the linearity _sweep relies on),
-and as the reference builders give it once every label is packed, on
-random code and error trellises with masks
-(the matrix and mask generators of test_min_weight_property) at horizons
-up to 40, past the oracle's limit, and on TIE_PAIR; the sections must be
-equal tuples.  min_weight_path must return the identical (sequence,
-weight) or refuse the same inputs, also on hand-built trellises whose
-sections are lists, some empty, some repeated, with states of unequal
-branch counts, and on the hand-picked CORNER_CASES: one section object
-before two different successors, a section 1 that does not start from
-state 0 (or starts from it second), an empty middle section and a
-branch into a dead end.  count_paths must say whether a path exists
-on each.  Each code keeps its tables across calls, so builds and
-decodes are also checked with trellises of several codes made and
-dropped in a drawn order among hand-built ones; and a pruned hand-built
-trellis must keep exactly the branches that lie on a path.
+input) pair with the reference builders' register steps, so the equality
+also tests the linearity _sweep relies on), and as the reference builders
+give it once every label is packed, on random code and error trellises
+with masks (the matrix and mask generators of test_min_weight_property)
+at horizons up to 40, past the oracle's limit, and on TIE_PAIR; the
+sections must be equal tuples.  _machine's responses, xored over a
+state's and a block's set bits, must equal those register steps on both
+forms, on matrices of up to 4 rows and 5 columns.  min_weight_path must
+return the identical (sequence, weight) or refuse the same inputs, also
+on hand-built trellises whose sections are lists, some empty, some
+repeated, with states of unequal branch counts, and on the hand-picked
+CORNER_CASES: one section object before two different successors, a
+section 1 that does not start from state 0 (or starts from it second), an
+empty middle section and a branch into a dead end.  count_paths must say
+whether a path exists on each.  Each code keeps its tables across calls,
+so builds and decodes are also checked with trellises of several codes
+made and dropped in a drawn order among hand-built ones; and a pruned
+hand-built trellis must keep exactly the branches that lie on a path.
 """
 
 import itertools
@@ -90,18 +92,6 @@ def reference_sweep(horizon, n, state_bits, branch_bits, key_of,
     return Trellis(n, horizon, state_bits, tuple(sections))
 
 
-def stepping_sweep(code, horizon, n, state_bits, in_bits, keys, step,
-                   branches):
-    """_sweep's signature over reference_sweep, stepping every (state,
-    input) pair itself instead of relying on the machine's linearity, and
-    keeping nothing of code's across calls."""
-    keys = iter(keys)
-    return reference_sweep(
-        horizon, n, state_bits, in_bits, lambda t: next(keys),
-        lambda key, s: branches(key, (0, 0),
-                                [step(s, x) for x in range(1 << in_bits)]))
-
-
 def reference_row_layout(M):
     info = []
     off = 0
@@ -110,6 +100,77 @@ def reference_row_layout(M):
         info.append((off, nu, [exponents(e) for e in M.row(i)]))
         off += nu
     return info
+
+
+def reference_code_step(layout, n, state, inputs):
+    """The encoder's (next state, label) from state on the input bits,
+    row 1 first, over reference_row_layout(G)."""
+    label = [0] * n
+    new_state = 0
+    for i, (off, nu, taps) in enumerate(layout):
+        fld = state >> off & (1 << nu) - 1
+        u = inputs[i]
+        hist = [u] + [fld >> (nu - d) & 1 for d in range(1, nu + 1)]
+        for j, ds in enumerate(taps):
+            for d in ds:
+                label[j] ^= hist[d]
+        if nu:
+            new_state |= ((fld >> 1) | (u << (nu - 1))) << off
+    return new_state, tuple(label)
+
+
+def reference_error_step(layout, state, e_bits):
+    """The syndrome former's (next state, syndrome bits) from state on the
+    error bits, column 1 first, over reference_row_layout(H)."""
+    out = []
+    new_state = 0
+    for off, nu, taps in layout:
+        fld = state >> off & (1 << nu) - 1
+        hit = [0] * (nu + 1)
+        for j, ds in enumerate(taps):
+            if e_bits[j]:
+                for d in ds:
+                    hit[d] ^= 1
+        out.append((fld & 1 if nu else 0) ^ hit[0])
+        nf = 0
+        for r in range(1, nu + 1):
+            s_next = fld >> r & 1 if r < nu else 0
+            nf |= (s_next ^ hit[r]) << (r - 1)
+        new_state |= nf << off
+    return new_state, tuple(out)
+
+
+def reference_response(side, M):
+    """(in_bits, response): response(s, x) is the reference step of M's
+    machine from state s on input block x, packed as _machine packs, next
+    state << w | output, with input bit i - 1 row i's on the code side and
+    bit n - j column j's on the error side."""
+    layout = reference_row_layout(M)
+    if side == "code":
+        def response(s, x):
+            inputs = [x >> i & 1 for i in range(M.rows)]
+            ns, label = reference_code_step(layout, M.cols, s, inputs)
+            return ns << M.cols | from_bit_tuples(M.cols, [label]).bits
+        return M.rows, response
+
+    def response(s, x):
+        ns, out = reference_error_step(layout, s, label_bits(x, M.cols))
+        return ns << M.rows | from_bit_tuples(M.rows, [out]).bits
+    return M.cols, response
+
+
+def stepping_sweep(code, horizon, keys, branches):
+    """_sweep's signature over reference_sweep, stepping every (state,
+    input) pair with the reference steps instead of relying on the
+    machine's linearity, and keeping nothing of code's across calls."""
+    M = code[1]
+    in_bits, response = reference_response(*code)
+    keys = iter(keys)
+    return reference_sweep(
+        horizon, M.cols, overall_constraint_length(M), in_bits,
+        lambda t: next(keys),
+        lambda key, s: branches(
+            key, 0, [response(s, x) for x in range(1 << in_bits)]))
 
 
 def forced_columns(masks, t, n):
@@ -124,20 +185,6 @@ def reference_code_trellis(G, horizon, masks=None):
     k, n = G.rows, G.cols
     free_until = horizon - memory(G)
 
-    def step(state, inputs):
-        label = [0] * n
-        new_state = 0
-        for i, (off, nu, taps) in enumerate(layout):
-            fld = state >> off & (1 << nu) - 1
-            u = inputs[i]
-            hist = [u] + [fld >> (nu - d) & 1 for d in range(1, nu + 1)]
-            for j, ds in enumerate(taps):
-                for d in ds:
-                    label[j] ^= hist[d]
-            if nu:
-                new_state |= ((fld >> 1) | (u << (nu - 1))) << off
-        return new_state, tuple(label)
-
     def key_of(t):
         return t <= free_until, forced_columns(masks, t, n)
 
@@ -145,7 +192,7 @@ def reference_code_trellis(G, horizon, masks=None):
         free, forced = key
         for inputs in (itertools.product((0, 1), repeat=k) if free
                        else ((0,) * k,)):
-            ns, label = step(state, inputs)
+            ns, label = reference_code_step(layout, n, state, inputs)
             if not any(label[j - 1] for j in forced):
                 yield ns, label
 
@@ -159,25 +206,6 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
     if n_real is None:
         n_real = horizon - memory(H)
     layout = reference_row_layout(H)
-
-    def step(state, e_bits):
-        out = []
-        new_state = 0
-        for off, nu, taps in layout:
-            fld = state >> off & (1 << nu) - 1
-            hit = [0] * (nu + 1)
-            for j, ds in enumerate(taps):
-                if e_bits[j]:
-                    for d in ds:
-                        hit[d] ^= 1
-            out.append((fld & 1 if nu else 0) ^ hit[0])
-            nf = 0
-            for r in range(1, nu + 1):
-                s_next = fld >> r & 1 if r < nu else 0
-                nf |= (s_next ^ hit[r]) << (r - 1)
-            new_state |= nf << off
-        return new_state, tuple(out)
-
     flush = frozenset(range(1, n + 1))
     m = syndrome.block_width
     wanted = list(block_values(syndrome.bits, m, horizon))
@@ -193,7 +221,7 @@ def reference_error_trellis(H, syndrome, n_real=None, masks=None):
             e = [0] * n
             for j, b in zip(free, bits):
                 e[j - 1] = b
-            ns, out = step(state, e)
+            ns, out = reference_error_step(layout, state, e)
             if out == want:
                 yield ns, tuple(e)
 
@@ -305,6 +333,67 @@ def test_code_trellis_matches_reference(data):
     mask = masks(data.draw, horizon, G.cols)
     check_build(build_code_trellis, reference_code_trellis, G, horizon,
                 masks=mask)
+
+
+def test_states_past_one_chunk_match_reference():
+    """Nine state bits take two 8-bit chunk tables, and both trellises
+    here reach states past the first chunk."""
+    G = PolyMatrix(1, 2, (0b1000010011, 0b1000101101))
+    H = PolyMatrix(2, 3, (0b100011, 0b100, 0b1001, 0b10000, 0b10011, 0b10))
+    assert overall_constraint_length(G) == overall_constraint_length(H) == 9
+    rng = random.Random(9)
+    z = BlockSequence(3, 16, rng.getrandbits(48)).padded(16 + memory(H))
+    for build, reference, args in (
+            (build_code_trellis, reference_code_trellis, (G, 20)),
+            (build_error_trellis, reference_error_trellis,
+             (H, syndrome(z, H)))):
+        check_build(build, reference, *args)
+        assert max(b.from_state for sec in build(*args).sections
+                   for b in sec) >= 1 << 8
+
+
+@st.composite
+def machine_matrices(draw):
+    """1-4 rows of 1-5 columns with entries of degree at most 3, zero
+    entries included; about one row in four has degree 0."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    entries = []
+    for _ in range(rows):
+        top = draw(st.sampled_from((1, 15, 15, 15)))
+        entries += draw(st.lists(st.integers(0, top), min_size=cols,
+                                 max_size=cols))
+    return PolyMatrix(rows, cols, tuple(entries))
+
+
+def xor_of(units, x):
+    """The xor of the units at the set bits of x."""
+    out = 0
+    for b, unit in enumerate(units):
+        if x >> b & 1:
+            out ^= unit
+    return out
+
+
+@SETTINGS
+@given(machine_matrices(), st.sampled_from(("code", "error")),
+       st.integers(0, 2**32 - 1))
+def test_machine_responses_match_reference_steps(M, side, seed):
+    """Both forms of _machine are linear: the xor of the responses of a
+    state's set bits and of an input block's set bits is the reference
+    step from that state on that block, for every (state, input) pair
+    when there are at most 2^12 of them and 2^12 drawn ones otherwise."""
+    states, inputs = trellis._machine(M, side == "error")
+    in_bits, response = reference_response(side, M)
+    nu = overall_constraint_length(M)
+    assert (len(states), len(inputs)) == (nu, in_bits)
+    pairs = itertools.product(range(1 << nu), range(1 << in_bits))
+    if nu + in_bits > 12:
+        rng = random.Random(seed)
+        pairs = [(rng.getrandbits(nu), rng.getrandbits(in_bits))
+                 for _ in range(1 << 12)]
+    for s, x in pairs:
+        assert xor_of(states, s) ^ xor_of(inputs, x) == response(s, x)
 
 
 def test_tie_pair_matches_reference():

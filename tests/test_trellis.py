@@ -386,18 +386,22 @@ def test_error_trellis_shares_repeated_sections():
     assert distinct[200] == distinct[800]
 
 
-def traced_steps(build, *args, most=None):
-    """build(*args) and how often it called a builder's step; a call past
+def traced_tables(build, *args, most=None):
+    """build(*args), how many machines it made (_machine calls) and how
+    many table entries (the lengths _xors returned); a call of either past
     `most` raises AssertionError inside the build."""
-    calls = []
+    calls, made = [], {"_machine": 0, "_xors": 0}
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if (event == "call" and code.co_name == "step"
-                and code.co_filename == trellis.__file__):
+        if code.co_name not in made or code.co_filename != trellis.__file__:
+            return
+        if event == "call":
             calls.append(1)
             if most is not None and len(calls) > most:
-                raise AssertionError(f"more than {most} step calls")
+                raise AssertionError(f"more than {most} table calls")
+        elif event == "return":
+            made[code.co_name] += 1 if code.co_name == "_machine" else len(arg)
 
     old = sys.getprofile()
     sys.setprofile(profile)
@@ -405,23 +409,23 @@ def traced_steps(build, *args, most=None):
         t = build(*args)
     finally:
         sys.setprofile(old)
-    return t, len(calls)
+    return t, made["_machine"], made["_xors"]
 
 
-def test_error_builder_expands_each_state_once_per_forced_set():
-    """Both machines are linear, so step runs once per input block x, as
-    step(0, x), and once per state s reached, as step(s, 0), whatever the
-    syndrome block or forced columns: 4 + 64 calls on the K=7 error side
-    and 2 + 64 on its code side.  Both tables are kept per code, so a
-    later build of the same code, with another syndrome or other masks,
-    steps no more, and a build of the other code in between changes
-    neither count."""
+def test_builders_table_each_code_once():
+    """Both machines are linear, so a code's first build makes its machine
+    once and tables each input block's response and each 8-bit chunk of
+    state bits' response, nothing per (state, input) pair: 4 + 64 entries
+    on the K=7 error side, against 64 x 4 pairs, and 2 + 64 on its code
+    side, against 64 x 2.  The tables are kept per code, so a later build
+    of the same code, with another syndrome or other masks, makes none,
+    and a build of the other code in between changes neither count."""
     G_K7 = parse_matrix("1+D+D^2+D^3+D^6,1+D^2+D^3+D^5+D^6")
     trellis._MEMOS.clear()
     rng = random.Random(5)
 
     def error_build():
-        return traced_steps(build_error_trellis, H_K7, k7_syndrome(200, rng))
+        return traced_tables(build_error_trellis, H_K7, k7_syndrome(200, rng))
 
     def code_build(spot):
         # forced zeros on output bit 2 of the first block and on output
@@ -429,23 +433,24 @@ def test_error_builder_expands_each_state_once_per_forced_set():
         mask = parse_blocks(" ".join(
             "01" if b == 0 else "10" if b == spot else "00"
             for b in range(200)))
-        return traced_steps(build_code_trellis, G_K7, 200, mask)
+        return traced_tables(build_code_trellis, G_K7, 200, mask)
 
     for build, first in ((error_build, 4 + 64),
                          (lambda: code_build(99), 2 + 64)):
-        t, calls = build()
+        t, machines, entries = build()
         assert count_paths(t) > 0
-        assert calls == first
+        assert (machines, entries) == (1, first)
     for build in (error_build, lambda: code_build(150), error_build):
-        t, calls = build()
+        t, machines, entries = build()
         assert count_paths(t) > 0
-        assert calls == 0
+        assert (machines, entries) == (0, 0)
 
 
 def test_kept_tables_stay_bounded(monkeypatch):
     """Decoding more codes than _CODES keeps the memos of the last _CODES
-    built, and no kind of entry in one grows past _ENTRIES (patched small
-    here, so K=7 frames overflow it), while every decode stays exact."""
+    built, and no dict in one grows past _ENTRIES (patched small here, so
+    K=7 frames overflow it), while every decode stays exact.  The response
+    tables, the one kind that is no dict, are fixed by the code."""
     monkeypatch.setattr(trellis, "_ENTRIES", 8)
     trellis._MEMOS.clear()
     rng = random.Random(11)
@@ -463,8 +468,19 @@ def test_kept_tables_stay_bounded(monkeypatch):
             assert min_weight_path(t) == min_weight_path(alone)
     assert [code for _, code in trellis._MEMOS] == codes[-trellis._CODES:]
     for memo in trellis._MEMOS.values():
-        for kept in (memo.rows, memo.built, memo.pruned, memo.layouts):
-            assert len(kept) <= 8
+        # every kind but the response tables is a dict bounded by _ENTRIES
+        kinds = vars(memo)
+        kept = [kind for kind in kinds.values() if isinstance(kind, dict)]
+        assert len(kept) == len(kinds) - 1
+        assert all(len(kind) <= 8 for kind in kept)
+    for (_, H), memo in trellis._MEMOS.items():
+        # the tables are fixed by the code: one entry per error block, and
+        # at most 256 per chunk of 8 state bits
+        table, chunks = memo.tables
+        assert len(table) == 1 << H.cols
+        assert all(len(chunk) <= 256 for chunk in chunks)
+        assert sum(len(chunk).bit_length() - 1 for chunk in chunks) == (
+            overall_constraint_length(H))
     assert trellis._MEMOS["error", H_K7].layouts
 
 
@@ -507,10 +523,10 @@ def test_kept_tables_shared_by_threads(monkeypatch):
 
 
 def test_wide_check_matrix_over_empty_syndrome():
-    # 2^40 error blocks per section, but no section to build: the step
-    # table is never filled, so the one empty path comes at once
-    t, calls = traced_steps(build_error_trellis,
-                            parse_matrix(",".join(["1"] * 40)),
-                            BlockSequence(1, 0, 0), most=0)
-    assert (t.horizon, calls) == (0, 0)
+    # 2^40 error blocks per section, but no section to build: no machine
+    # or table is made, so the one empty path comes at once
+    t, machines, entries = traced_tables(build_error_trellis,
+                                         parse_matrix(",".join(["1"] * 40)),
+                                         BlockSequence(1, 0, 0), most=0)
+    assert (t.horizon, machines, entries) == (0, 0, 0)
     assert enumerate_paths(t) == [BlockSequence(40, 0, 0)]
