@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import repeat
-from operator import and_, attrgetter, rshift
+from operator import attrgetter
 
 
 @total_ordering
@@ -150,51 +150,33 @@ def block_values(bits: int, width: int, length: int):
         yield int(text[i:i + width], 2)
 
 
-# Texts are read chunk by chunk, at most _CHUNK_BITS bits of blocks at a
-# time, from _TABLES[width, blocks in the chunk]: the text of every value of
-# such a chunk, so no table holds more than 2^_CHUNK_BITS strings.
-_CHUNK_BITS = 6
-_TABLES = {}
 _shape = attrgetter("block_width", "length")
 _bits = attrgetter("bits")
-
-
-def _chunk_text(width: int, count: int):
-    """The function from the value of count blocks of width bits to their
-    text; a block wider than a chunk is printed by str.format alone."""
-    if width * count > _CHUNK_BITS:
-        return f"{{:0{width}b}}".format
-    table = _TABLES.get((width, count))
-    if table is None:
-        spans = range(0, width * count, width)
-        table = _TABLES[width, count] = tuple(
-            " ".join([text[i:i + width] for i in spans])
-            for text in (format(v, f"0{width * count}b")
-                         for v in range(1 << width * count)))
-    return table.__getitem__
 
 
 def _format_bits(width: int, length: int, bits) -> list:
     """The text of each packed int of a list of length blocks of width bits.
 
-    The ints are cut into chunks of _CHUNK_BITS // width blocks (one block
-    if wider), the first chunk holding the remainder, and each chunk column
-    is read from its table by C-level maps over the whole list.
+    All ints are printed as one binary text, and w strided copies move bit
+    k of every block to its place before the block's separator in a
+    space-filled buffer; the last separator of each int becomes a newline,
+    at which the decoded buffer splits.  Each step runs at C level over
+    the whole list, and nothing is cached.  An int that is negative or
+    wider than width * length bits raises ValueError.
     """
     if not width * length:
         # no bits to print: "" for no blocks, else length - 1 separators
         return [" " * (length - 1)] * len(bits)
-    step = max(_CHUNK_BITS // width, 1)
-    head = length % step or step
-    head_text, text = _chunk_text(width, head), _chunk_text(width, step)
-    mask = (1 << step * width) - 1
-    cols = []
-    for left in range(length - head, -1, -step):
-        # left blocks follow the chunk; only the first has no bits above it
-        values = map(rshift, bits, repeat(left * width)) if left else bits
-        cols.append(map(text, map(and_, values, repeat(mask))) if cols
-                    else map(head_text, values))
-    return list(map(" ".join, zip(*cols)))
+    total, cell = width * length, width + 1
+    src = "".join(map(format, bits, repeat(f"0{total}b"))).encode()
+    if len(src) != total * len(bits) or b"-" in src:
+        bad = next(b for b in bits if not 0 <= b < 1 << total)
+        raise ValueError(f"{bad} is not {length} blocks of {width} bits")
+    out = bytearray(b" ") * (len(src) // width * cell)
+    for k in range(width):
+        out[k::cell] = src[k::width]
+    out[cell * length - 1::cell * length] = b"\n" * len(bits)
+    return out.decode().split("\n")[:-1]
 
 
 def format_sequences(seqs) -> list:

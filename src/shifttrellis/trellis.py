@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, or_
 from typing import NamedTuple
 
 from .blocks import BlockSequence, block_values
@@ -315,8 +315,9 @@ def enumerate_paths(trellis: Trellis, packed=False):
     than MAX_PATHS prefixes refuses the listing, naming that lower bound,
     so it is refused exactly when count_paths exceeds MAX_PATHS.
     """
-    # Prefixes are packed ints (see blocks.py): appending a label is one
-    # shift and or, and the int order is the order of the label sequences.
+    # Prefixes are packed ints (see blocks.py), whose order is the order of
+    # the label sequences.  Each from-state's prefixes are shifted once per
+    # section, into bases, and each branch ors its label into them.
     n = trellis.n
     paths = {0: [0]}
     for sec in trellis.sections:
@@ -324,11 +325,13 @@ def enumerate_paths(trellis: Trellis, packed=False):
         if held > MAX_PATHS:
             raise ValueError(
                 f"too many paths: at least {held} exceeds {MAX_PATHS}")
-        nxt = {}
+        nxt, bases = {}, {}
         for s, ns, label in sec:
-            prefs = paths.get(s)
-            if prefs:
-                nxt.setdefault(ns, []).extend([p << n | label for p in prefs])
+            base = bases.get(s)
+            if base is None:
+                base = bases[s] = [p << n for p in paths.get(s, ())]
+            nxt.setdefault(ns, []).extend(
+                map(or_, base, repeat(label)) if label else base)
         paths = nxt
     paths = sorted(paths.get(0, []))
     if packed:

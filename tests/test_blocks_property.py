@@ -8,9 +8,12 @@ bits, xor, weight, padding, text form, equality and order, and the text
 reader must refuse what the reference refuses.
 
 slicing_format below is the earlier per-sequence formatter, kept as the
-reference of the chunked list formatter format_sequences.
+reference of the list formatter format_sequences over widths 1-13 and
+lengths 0-300, on lists of one to three sequences (as decode prints) and
+of 1024 (as verify prints).
 """
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -23,7 +26,7 @@ from shifttrellis import (
     format_sequences,
     parse_blocks,
 )
-from shifttrellis.blocks import _TABLES, block_values
+from shifttrellis.blocks import _format_bits, block_values
 from pairs import bit_tuples, from_bit_tuples
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -212,7 +215,6 @@ def test_list_formatter_matches_slicing_reference(seqs):
     want = [slicing_format(s) for s in seqs]
     assert format_sequences(seqs) == want
     assert [format_blocks(s) for s in seqs] == want
-    assert max(map(len, _TABLES.values()), default=0) <= 64
 
 
 @pytest.mark.parametrize("width", [0, 5, 6, 7, 9, 13])
@@ -221,7 +223,35 @@ def test_list_formatter_edge_widths(width, length):
     seqs = [BlockSequence(width, length, bits)
             for bits in range(min(1 << width * length, 9))]
     assert format_sequences(seqs) == [slicing_format(s) for s in seqs]
-    assert max(map(len, _TABLES.values()), default=0) <= 64
+
+
+def random_sequences(seed, width, length, count):
+    rng = random.Random(seed)
+    return [BlockSequence(width, length, rng.getrandbits(width * length))
+            for _ in range(count)]
+
+
+@SETTINGS
+@given(st.integers(1, 13), st.integers(0, 300), st.integers(1, 3),
+       st.integers(0, 2 ** 32))
+def test_list_formatter_on_long_sequences(width, length, count, seed):
+    seqs = random_sequences(seed, width, length, count)
+    assert format_sequences(seqs) == [slicing_format(s) for s in seqs]
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.integers(12, 16), st.integers(0, 2 ** 32))
+def test_list_formatter_on_verify_listings(length, seed):
+    seqs = random_sequences(seed, 3, length, 1024)
+    assert format_sequences(seqs) == [slicing_format(s) for s in seqs]
+
+
+@pytest.mark.parametrize("bits", [[0, 64], [64], [5, -1], [-40]])
+def test_list_formatter_refuses_ints_out_of_shape(bits):
+    """An int wider than width * length bits, or negative, is refused, not
+    printed as shifted text."""
+    with pytest.raises(ValueError, match="is not 2 blocks of 3 bits"):
+        _format_bits(3, 2, bits)
 
 
 @SETTINGS
